@@ -26,11 +26,11 @@ use cqi_drc::SyntaxTree;
 use cqi_schema::{DomainType, Schema};
 
 /// A ∀-heavy two-disjunct query over a keyless Serves/Likes schema — the
-/// dedupe-dominated workload of the algorithmic-cut A/B groups below. The
+/// dedupe-dominated workload of the subsumption A/B group below. The
 /// universal re-expansions generate thousands of digest probes and a raw
 /// accepted stream with heavy superset redundancy (87 raw accepts, 3
-/// minimized solutions at `limit = 12`), which is exactly where the digest
-/// memo and the subsumption filter act.
+/// minimized solutions at `limit = 12`), which is exactly where the
+/// subsumption filter acts.
 const FORALL_DISJ: &str = "{ (d1) | forall b1 (exists x1, p1 . Serves(x1, b1, p1)) \
                            and (Likes(d1, 'A') or Likes(d1, 'B')) }";
 
@@ -158,36 +158,6 @@ fn bench_spill_threshold(c: &mut Criterion) {
     g.finish();
 }
 
-/// The incremental-digest cut, A/B: `cache=off` recomputes every digest
-/// and signature from scratch (the pre-memo engine), `cache=on` serves
-/// them from the chain-fed per-instance memo. Same probes, same answers —
-/// the delta is pure digest arithmetic, and on this workload it is the
-/// dominant dedupe cost (~1.3–1.8x end to end).
-fn bench_digest_cache(c: &mut Criterion) {
-    let schema = forall_disj_schema();
-    let mut g = c.benchmark_group("chase_digest_cache");
-    g.sample_size(20);
-    g.measurement_time(Duration::from_secs(8));
-    for (label, cache) in [("cache=off", false), ("cache=on", true)] {
-        let cfg = ChaseConfig::with_limit(12)
-            .timeout(Duration::from_secs(30))
-            .digest_cache(cache);
-        let session = Session::new(schema.clone()).config(cfg);
-        g.bench_with_input(BenchmarkId::from_parameter(label), &(), |b, ()| {
-            b.iter(|| {
-                black_box(
-                    session
-                        .explain_collect(
-                            ExplainRequest::drc(black_box(FORALL_DISJ)).variant(Variant::ConjNaive),
-                        )
-                        .unwrap(),
-                )
-            });
-        });
-    }
-    g.finish();
-}
-
 /// The subsumption-prune cut, A/B on its raw-stream contract: `prune=on`
 /// drops accepts that embed an earlier equal-coverage accept (87 → 12 raw
 /// on this workload, minimized solutions identical). The wall-clock delta
@@ -218,42 +188,11 @@ fn bench_subsume_prune(c: &mut Criterion) {
     g.finish();
 }
 
-/// The wave-batch cut, A/B: wide disjunctive waves at 4 threads, solver
-/// problems canonicalized and deduped per wave (`batch=on`) versus decided
-/// one-by-one inside each worker (`batch=off`).
-fn bench_wave_batch(c: &mut Criterion) {
-    let schema = forall_disj_schema();
-    let mut g = c.benchmark_group("chase_wave_batch");
-    g.sample_size(20);
-    g.measurement_time(Duration::from_secs(8));
-    for (label, batch) in [("batch=off", false), ("batch=on", true)] {
-        let cfg = ChaseConfig::with_limit(12)
-            .timeout(Duration::from_secs(30))
-            .threads(4)
-            .wave_batch(batch);
-        let session = Session::new(schema.clone()).config(cfg);
-        g.bench_with_input(BenchmarkId::from_parameter(label), &(), |b, ()| {
-            b.iter(|| {
-                black_box(
-                    session
-                        .explain_collect(
-                            ExplainRequest::drc(black_box(FORALL_DISJ)).variant(Variant::DisjNaive),
-                        )
-                        .unwrap(),
-                )
-            });
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_fig8_thread_scaling,
     bench_fig11_thread_scaling,
     bench_spill_threshold,
-    bench_digest_cache,
-    bench_subsume_prune,
-    bench_wave_batch
+    bench_subsume_prune
 );
 criterion_main!(benches);

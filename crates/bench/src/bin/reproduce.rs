@@ -176,8 +176,6 @@ fn emit_run_config(o: &mut Opts, cmd: &str) {
         vec!["solver_cache".to_owned(), defaults.solver_cache.to_string()],
         vec!["incremental".to_owned(), defaults.incremental.to_string()],
         vec!["subsume_prune".to_owned(), defaults.subsume_prune.to_string()],
-        vec!["wave_batch".to_owned(), defaults.wave_batch.to_string()],
-        vec!["digest_cache".to_owned(), defaults.digest_cache.to_string()],
         vec!["timeout_s".to_owned(), format!("{}", o.timeout.as_secs_f64())],
         vec!["beers_limit".to_owned(), o.beers_limit.to_string()],
         vec!["tpch_limit".to_owned(), o.tpch_limit.to_string()],
@@ -215,12 +213,10 @@ fn emit_engine_stats(o: &mut Opts, label: &str, records: &[RunRecord]) {
         t.dedupe_offers, t.dedupe_duplicates, t.dedupe_iso_checks, t.incr_extends, t.incr_fallbacks
     );
     println!(
-        "  subsumed subtrees: {}   digest cache: {} of {} probes   wave batch: {} problems / {} classes",
+        "  subsumed subtrees: {}   digest cache: {} of {} probes",
         t.subsumed_subtrees,
         pct(t.digest_hit_rate()),
         t.digest_hits + t.digest_recomputes,
-        t.wave_batch_problems,
-        t.wave_batch_classes,
     );
     let rows = vec![
         vec!["waves".to_owned(), t.waves.to_string()],
@@ -247,14 +243,6 @@ fn emit_engine_stats(o: &mut Opts, label: &str, records: &[RunRecord]) {
         vec![
             "digest_hit_rate".to_owned(),
             format!("{:.4}", t.digest_hit_rate()),
-        ],
-        vec![
-            "wave_batch_problems".to_owned(),
-            t.wave_batch_problems.to_string(),
-        ],
-        vec![
-            "wave_batch_classes".to_owned(),
-            t.wave_batch_classes.to_string(),
         ],
     ];
     if let Some(sink) = o.sink.as_mut() {

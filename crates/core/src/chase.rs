@@ -29,7 +29,7 @@
 //! `crates/core/tests/parallel_props.rs`).
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,20 +41,20 @@ use cqi_instance::consistency::{
     conj_lits, is_consistent, is_consistent_cached, is_pure_conjunctive, to_problem,
 };
 use cqi_instance::{
-    digest_stats, exact_digest, exact_digest_fresh, is_isomorphic, signature, signature_fresh,
-    subsumes, CInstance, Cond,
+    digest_stats, exact_digest, is_isomorphic, signature, subsumes, CInstance, Cond,
 };
 use cqi_runtime::{
-    DriveStats, Exec, Expansion, FrontierScheduler, FrontierTask, MemoCounts, ParallelScheduler,
+    DriveStats, Exec, Expansion, FrontierScheduler, FrontierTask, ParallelScheduler,
     ResidentPool, RunCounters, SequentialScheduler, SetKey, StripedMemo, WaveVisible,
 };
-use cqi_solver::canon::{canonicalize, CanonKey, Canonical};
-use cqi_solver::{CacheStats, Ent, Lit, Model, SaturatedState, SolverCache};
+use cqi_solver::canon::{canonicalize, CanonKey};
+use cqi_solver::{Ent, Lit, Model, SaturatedState, SolverCache};
 
 use crate::config::{CancelToken, ChaseConfig};
 use crate::conjtree::expand_disj_node;
 use crate::cover::coverage_of_cinstance_keys;
 use crate::dnf::{has_quantifier, tree_to_conj};
+use crate::stats::ChaseStats;
 use crate::treesat::{atom_to_lit, Hom, SatCtx};
 
 /// Bound on retained saturated states (each is small — vectors over the
@@ -87,27 +87,6 @@ const SUBSUME_CLASS_CAP: usize = 8;
 /// attempts the result is kept — pruning is best-effort, keeping is always
 /// sound.
 const NESTED_SUBSUME_ATTEMPTS: usize = 16;
-
-/// [`exact_digest`] honoring [`ChaseConfig::digest_cache`]: the A/B knob
-/// routes every chase-side digest probe to the memo-backed or the
-/// from-scratch computation (same value either way).
-fn digest_of(cfg: &ChaseConfig, inst: &CInstance) -> u64 {
-    if cfg.digest_cache {
-        exact_digest(inst)
-    } else {
-        exact_digest_fresh(inst)
-    }
-}
-
-/// [`signature`] honoring [`ChaseConfig::digest_cache`]; twin of
-/// [`digest_of`].
-fn signature_of(cfg: &ChaseConfig, inst: &CInstance) -> u64 {
-    if cfg.digest_cache {
-        signature(inst)
-    } else {
-        signature_fresh(inst)
-    }
-}
 
 /// Is `cand` a redundant re-derivation of an earlier-kept result of the
 /// same nested search — same leaf coverage, and some kept result embeds
@@ -156,393 +135,6 @@ impl Default for SharedMemos {
             solver: StripedMemo::new(MEMO_STRIPES, SHARED_SOLVER_CAP),
             sat: StripedMemo::new(MEMO_STRIPES, SAT_MEMO_CAP),
         }
-    }
-}
-
-/// Execution counters of one chase run: scheduler waves, work-stealing
-/// traffic, the hit/miss split of each memo tier, and dedupe volume.
-/// Attached to every [`crate::CSolution`]; all counters are deltas over the
-/// run (session-persistent caches are baselined at construction).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChaseStats {
-    /// Frontier waves driven by the wave-parallel scheduler (0 under the
-    /// sequential driver).
-    pub waves: u64,
-    /// Waves below the spill threshold, processed inline.
-    pub spilled_waves: u64,
-    /// Work-stealing queue steals across all fan-outs.
-    pub steals: u64,
-    /// Fan-out batches dispatched to the resident pool.
-    pub resident_batches: u64,
-    /// Fan-out batches run on per-call scoped threads.
-    pub scoped_batches: u64,
-    /// Duplicate-detection offers across all drives.
-    pub dedupe_offers: u64,
-    /// Offers rejected as duplicates.
-    pub dedupe_duplicates: u64,
-    /// Signature collisions needing a full isomorphism check.
-    pub dedupe_iso_checks: u64,
-    /// Per-worker (L1) canonical-problem memo hits/misses, summed.
-    pub solver_l1_hits: u64,
-    pub solver_l1_misses: u64,
-    /// Shared (L2) canonical-problem memo counters.
-    pub solver_l2: MemoCounts,
-    /// Per-worker (L1) saturated-state lookups, summed.
-    pub sat_l1_hits: u64,
-    pub sat_l1_misses: u64,
-    /// Shared (L2) saturated-state memo counters.
-    pub sat_l2: MemoCounts,
-    /// Chase steps decided by extending the parent's saturated state.
-    pub incr_extends: u64,
-    /// Chase steps that fell back to a full consistency check.
-    pub incr_fallbacks: u64,
-    /// Frontier subtrees skipped by homomorphic subsumption pruning
-    /// (`ChaseConfig::subsume_prune`).
-    pub subsumed_subtrees: u64,
-    /// Exact-digest requests answered from the per-instance cache vs
-    /// recomputed ([`cqi_instance::digest_stats`]).
-    pub digest_hits: u64,
-    pub digest_recomputes: u64,
-    /// Wave-batched consistency problems (`ChaseConfig::wave_batch`,
-    /// parallel driver): unique problems considered vs canonical
-    /// equivalence classes actually resolved — `problems - classes` solver
-    /// round-trips were deduplicated within waves.
-    pub wave_batch_problems: u64,
-    pub wave_batch_classes: u64,
-    /// Wall-time phase breakdown (ns), populated only on traced runs
-    /// (`ChaseConfig::trace`) — derived from the same `cqi-obs` span
-    /// instrumentation as the Perfetto trace. Only *leaf* spans are
-    /// phase-attributed, so the components never double-count and, on a
-    /// single-threaded run, sum to ≤ total wall time (multi-thread runs
-    /// sum per-thread time, which may exceed wall clock).
-    pub phase_solver_ns: u64,
-    /// Time canonicalizing solver problems (color refinement + keys).
-    pub phase_canon_ns: u64,
-    /// Time in isomorphism dedupe (offers/confirms + nested admission).
-    pub phase_dedupe_ns: u64,
-    /// Time in scheduling (wave assembly/merge, batch collection).
-    pub phase_sched_ns: u64,
-}
-
-fn rate(hits: u64, misses: u64) -> f64 {
-    if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
-    }
-}
-
-impl ChaseStats {
-    pub fn solver_l1_hit_rate(&self) -> f64 {
-        rate(self.solver_l1_hits, self.solver_l1_misses)
-    }
-
-    pub fn solver_l2_hit_rate(&self) -> f64 {
-        rate(self.solver_l2.hits, self.solver_l2.misses)
-    }
-
-    pub fn sat_l1_hit_rate(&self) -> f64 {
-        rate(self.sat_l1_hits, self.sat_l1_misses)
-    }
-
-    pub fn sat_l2_hit_rate(&self) -> f64 {
-        rate(self.sat_l2.hits, self.sat_l2.misses)
-    }
-
-    /// Fraction of exact-digest requests served from the incremental cache.
-    pub fn digest_hit_rate(&self) -> f64 {
-        rate(self.digest_hits, self.digest_recomputes)
-    }
-
-    /// Fraction of wave-batched problems deduplicated into an already-seen
-    /// canonical class (`0.0` when batching never engaged).
-    pub fn wave_batch_dedupe_ratio(&self) -> f64 {
-        if self.wave_batch_problems == 0 {
-            0.0
-        } else {
-            1.0 - self.wave_batch_classes as f64 / self.wave_batch_problems as f64
-        }
-    }
-
-    /// Sum of the phase-breakdown components (ns); `0` on untraced runs.
-    pub fn phase_total_ns(&self) -> u64 {
-        self.phase_solver_ns + self.phase_canon_ns + self.phase_dedupe_ns + self.phase_sched_ns
-    }
-
-    /// `(phase name, accumulated ns)` pairs, ordered like
-    /// [`cqi_obs::trace::Phase::ALL`].
-    pub fn phases(&self) -> [(&'static str, u64); 4] {
-        [
-            (Phase::Solver.name(), self.phase_solver_ns),
-            (Phase::Canon.name(), self.phase_canon_ns),
-            (Phase::Dedupe.name(), self.phase_dedupe_ns),
-            (Phase::Sched.name(), self.phase_sched_ns),
-        ]
-    }
-
-    /// Serde-free JSON rendering for benchmark/reproduce reports.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"waves\": {}, \"spilled_waves\": {}, \"steals\": {}, \
-             \"resident_batches\": {}, \"scoped_batches\": {}, \
-             \"dedupe_offers\": {}, \"dedupe_duplicates\": {}, \"dedupe_iso_checks\": {}, \
-             \"solver_l1_hit_rate\": {:.4}, \"solver_l2_hit_rate\": {:.4}, \
-             \"sat_l1_hit_rate\": {:.4}, \"sat_l2_hit_rate\": {:.4}, \
-             \"l2_contended\": {}, \"incr_extends\": {}, \"incr_fallbacks\": {}, \
-             \"subsumed_subtrees\": {}, \
-             \"digest_cache\": {{\"hits\": {}, \"recomputes\": {}}}, \
-             \"wave_batch\": {{\"problems\": {}, \"classes\": {}}}, \
-             \"phases\": {{\"solver_ns\": {}, \"canonicalization_ns\": {}, \
-             \"dedupe_ns\": {}, \"scheduling_ns\": {}}}}}",
-            self.waves,
-            self.spilled_waves,
-            self.steals,
-            self.resident_batches,
-            self.scoped_batches,
-            self.dedupe_offers,
-            self.dedupe_duplicates,
-            self.dedupe_iso_checks,
-            self.solver_l1_hit_rate(),
-            self.solver_l2_hit_rate(),
-            self.sat_l1_hit_rate(),
-            self.sat_l2_hit_rate(),
-            self.solver_l2.contended + self.sat_l2.contended,
-            self.incr_extends,
-            self.incr_fallbacks,
-            self.subsumed_subtrees,
-            self.digest_hits,
-            self.digest_recomputes,
-            self.wave_batch_problems,
-            self.wave_batch_classes,
-            self.phase_solver_ns,
-            self.phase_canon_ns,
-            self.phase_dedupe_ns,
-            self.phase_sched_ns,
-        )
-    }
-
-    /// Adds this run's counters to the process-wide `cqi-obs` registry (the
-    /// future `cqi-serve /metrics` payload). Deltas over monotone counters
-    /// keep the registry monotone; call once per completed run.
-    pub fn publish_metrics(&self) {
-        use std::sync::OnceLock;
-        struct Series {
-            waves: std::sync::Arc<cqi_obs::Counter>,
-            steals: std::sync::Arc<cqi_obs::Counter>,
-            dedupe_offers: std::sync::Arc<cqi_obs::Counter>,
-            dedupe_duplicates: std::sync::Arc<cqi_obs::Counter>,
-            solver_l1_hits: std::sync::Arc<cqi_obs::Counter>,
-            solver_l1_misses: std::sync::Arc<cqi_obs::Counter>,
-            solver_l2_hits: std::sync::Arc<cqi_obs::Counter>,
-            solver_l2_misses: std::sync::Arc<cqi_obs::Counter>,
-            incr_extends: std::sync::Arc<cqi_obs::Counter>,
-            incr_fallbacks: std::sync::Arc<cqi_obs::Counter>,
-            subsumed: std::sync::Arc<cqi_obs::Counter>,
-            digest_hits: std::sync::Arc<cqi_obs::Counter>,
-            digest_recomputes: std::sync::Arc<cqi_obs::Counter>,
-            wave_batch_problems: std::sync::Arc<cqi_obs::Counter>,
-            wave_batch_classes: std::sync::Arc<cqi_obs::Counter>,
-            phase_ns: [std::sync::Arc<cqi_obs::Counter>; 4],
-        }
-        static SERIES: OnceLock<Series> = OnceLock::new();
-        let s = SERIES.get_or_init(|| {
-            let r = cqi_obs::global();
-            Series {
-                waves: r.counter("cqi_chase_waves_total", "frontier waves driven", &[]),
-                steals: r.counter("cqi_chase_steals_total", "work-stealing queue steals", &[]),
-                dedupe_offers: r.counter("cqi_dedupe_offers_total", "iso-dedupe offers", &[]),
-                dedupe_duplicates: r.counter(
-                    "cqi_dedupe_duplicates_total",
-                    "offers rejected as duplicates",
-                    &[],
-                ),
-                solver_l1_hits: r.counter(
-                    "cqi_solver_memo_lookups_total",
-                    "canonical-problem memo lookups by tier and outcome",
-                    &[("tier", "l1"), ("outcome", "hit")],
-                ),
-                solver_l1_misses: r.counter(
-                    "cqi_solver_memo_lookups_total",
-                    "canonical-problem memo lookups by tier and outcome",
-                    &[("tier", "l1"), ("outcome", "miss")],
-                ),
-                solver_l2_hits: r.counter(
-                    "cqi_solver_memo_lookups_total",
-                    "canonical-problem memo lookups by tier and outcome",
-                    &[("tier", "l2"), ("outcome", "hit")],
-                ),
-                solver_l2_misses: r.counter(
-                    "cqi_solver_memo_lookups_total",
-                    "canonical-problem memo lookups by tier and outcome",
-                    &[("tier", "l2"), ("outcome", "miss")],
-                ),
-                incr_extends: r.counter(
-                    "cqi_incremental_extends_total",
-                    "chase steps decided by saturated-state extension",
-                    &[],
-                ),
-                incr_fallbacks: r.counter(
-                    "cqi_incremental_fallbacks_total",
-                    "chase steps that fell back to a full solve",
-                    &[],
-                ),
-                subsumed: r.counter(
-                    "cqi_chase_subsumed_total",
-                    "frontier subtrees skipped by subsumption pruning",
-                    &[],
-                ),
-                digest_hits: r.counter(
-                    "cqi_digest_cache_total",
-                    "exact-digest requests by outcome",
-                    &[("outcome", "hit")],
-                ),
-                digest_recomputes: r.counter(
-                    "cqi_digest_cache_total",
-                    "exact-digest requests by outcome",
-                    &[("outcome", "recompute")],
-                ),
-                wave_batch_problems: r.counter(
-                    "cqi_wave_batch_problems_total",
-                    "unique consistency problems considered by wave batching",
-                    &[],
-                ),
-                wave_batch_classes: r.counter(
-                    "cqi_wave_batch_classes_total",
-                    "canonical equivalence classes resolved by wave batching",
-                    &[],
-                ),
-                phase_ns: [
-                    r.counter("cqi_phase_ns_total", "traced time per phase (ns)", &[(
-                        "phase",
-                        Phase::Solver.name(),
-                    )]),
-                    r.counter("cqi_phase_ns_total", "traced time per phase (ns)", &[(
-                        "phase",
-                        Phase::Canon.name(),
-                    )]),
-                    r.counter("cqi_phase_ns_total", "traced time per phase (ns)", &[(
-                        "phase",
-                        Phase::Dedupe.name(),
-                    )]),
-                    r.counter("cqi_phase_ns_total", "traced time per phase (ns)", &[(
-                        "phase",
-                        Phase::Sched.name(),
-                    )]),
-                ],
-            }
-        });
-        s.waves.add(self.waves);
-        s.steals.add(self.steals);
-        s.dedupe_offers.add(self.dedupe_offers);
-        s.dedupe_duplicates.add(self.dedupe_duplicates);
-        s.solver_l1_hits.add(self.solver_l1_hits);
-        s.solver_l1_misses.add(self.solver_l1_misses);
-        s.solver_l2_hits.add(self.solver_l2.hits);
-        s.solver_l2_misses.add(self.solver_l2.misses);
-        s.incr_extends.add(self.incr_extends);
-        s.incr_fallbacks.add(self.incr_fallbacks);
-        s.subsumed.add(self.subsumed_subtrees);
-        s.digest_hits.add(self.digest_hits);
-        s.digest_recomputes.add(self.digest_recomputes);
-        s.wave_batch_problems.add(self.wave_batch_problems);
-        s.wave_batch_classes.add(self.wave_batch_classes);
-        s.phase_ns[0].add(self.phase_solver_ns);
-        s.phase_ns[1].add(self.phase_canon_ns);
-        s.phase_ns[2].add(self.phase_dedupe_ns);
-        s.phase_ns[3].add(self.phase_sched_ns);
-    }
-
-    /// Accumulates another run's counters (workload-level aggregation in
-    /// the bench harness).
-    pub fn merge(&mut self, other: &ChaseStats) {
-        let add = |a: &mut MemoCounts, b: MemoCounts| {
-            a.hits += b.hits;
-            a.misses += b.misses;
-            a.inserts += b.inserts;
-            a.contended += b.contended;
-        };
-        self.waves += other.waves;
-        self.spilled_waves += other.spilled_waves;
-        self.steals += other.steals;
-        self.resident_batches += other.resident_batches;
-        self.scoped_batches += other.scoped_batches;
-        self.dedupe_offers += other.dedupe_offers;
-        self.dedupe_duplicates += other.dedupe_duplicates;
-        self.dedupe_iso_checks += other.dedupe_iso_checks;
-        self.solver_l1_hits += other.solver_l1_hits;
-        self.solver_l1_misses += other.solver_l1_misses;
-        add(&mut self.solver_l2, other.solver_l2);
-        self.sat_l1_hits += other.sat_l1_hits;
-        self.sat_l1_misses += other.sat_l1_misses;
-        add(&mut self.sat_l2, other.sat_l2);
-        self.incr_extends += other.incr_extends;
-        self.incr_fallbacks += other.incr_fallbacks;
-        self.subsumed_subtrees += other.subsumed_subtrees;
-        self.digest_hits += other.digest_hits;
-        self.digest_recomputes += other.digest_recomputes;
-        self.wave_batch_problems += other.wave_batch_problems;
-        self.wave_batch_classes += other.wave_batch_classes;
-        self.phase_solver_ns += other.phase_solver_ns;
-        self.phase_canon_ns += other.phase_canon_ns;
-        self.phase_dedupe_ns += other.phase_dedupe_ns;
-        self.phase_sched_ns += other.phase_sched_ns;
-    }
-}
-
-/// One-line human-readable summary — printed by `examples/streaming.rs`
-/// and handy in logs: counters first, hit rates in parentheses, and the
-/// traced phase breakdown (ms) when present.
-impl std::fmt::Display for ChaseStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "waves={}({} spilled) steals={} batches={}r/{}s \
-             dedupe={}/{}dup/{}iso solverL1={:.0}%({}) L2={:.0}%({}) \
-             satL1={:.0}%({}) incr={}+{}fb subsumed={} digest={:.0}%({}) \
-             batch={}cls/{}",
-            self.waves,
-            self.spilled_waves,
-            self.steals,
-            self.resident_batches,
-            self.scoped_batches,
-            self.dedupe_offers,
-            self.dedupe_duplicates,
-            self.dedupe_iso_checks,
-            self.solver_l1_hit_rate() * 100.0,
-            self.solver_l1_hits + self.solver_l1_misses,
-            self.solver_l2_hit_rate() * 100.0,
-            self.solver_l2.hits + self.solver_l2.misses,
-            self.sat_l1_hit_rate() * 100.0,
-            self.sat_l1_hits + self.sat_l1_misses,
-            self.incr_extends,
-            self.incr_fallbacks,
-            self.subsumed_subtrees,
-            self.digest_hit_rate() * 100.0,
-            self.digest_hits + self.digest_recomputes,
-            self.wave_batch_classes,
-            self.wave_batch_problems,
-        )?;
-        if self.phase_total_ns() > 0 {
-            let ms = |ns: u64| ns as f64 / 1e6;
-            write!(
-                f,
-                " phases[solver={:.2}ms canon={:.2}ms dedupe={:.2}ms sched={:.2}ms]",
-                ms(self.phase_solver_ns),
-                ms(self.phase_canon_ns),
-                ms(self.phase_dedupe_ns),
-                ms(self.phase_sched_ns),
-            )?;
-        }
-        Ok(())
-    }
-}
-
-fn sub_counts(a: MemoCounts, b: MemoCounts) -> MemoCounts {
-    MemoCounts {
-        hits: a.hits - b.hits,
-        misses: a.misses - b.misses,
-        inserts: a.inserts - b.inserts,
-        contended: a.contended - b.contended,
     }
 }
 
@@ -640,11 +232,11 @@ pub(crate) struct WorkerCtx {
 }
 
 impl WorkerCtx {
-    fn new(cfg: &ChaseConfig, shared: Arc<SharedMemos>) -> WorkerCtx {
+    fn new(shared: Arc<SharedMemos>) -> WorkerCtx {
         WorkerCtx {
             bfs_memo: HashMap::new(),
             consist_memo: HashMap::new(),
-            solver_cache: SolverCache::new(cfg.solver_cache_capacity),
+            solver_cache: SolverCache::default(),
             sat_memo: HashMap::new(),
             shared,
             share_l2: false,
@@ -816,17 +408,10 @@ pub struct Chase<'a> {
     /// Subsumption-pruned subtrees over this run's drives (the task-local
     /// counter is read back after each drive).
     subsumed: u64,
-    /// Wave-batch problem/class totals over this run's drives.
-    wave_problems: u64,
-    wave_classes: u64,
-    /// Cumulative cache counters at construction — subtracted so
+    /// Cumulative counters at construction — subtracted so
     /// [`Chase::stats`] reports per-run deltas despite session-persistent
-    /// caches.
+    /// caches and process-global digest/phase totals.
     stats_base: ChaseStats,
-    /// [`cqi_obs::trace::phase_totals`] at construction (the accumulators
-    /// are process-global and monotone; the delta is this run's traced
-    /// phase breakdown).
-    phase_base: [u64; 4],
     /// Hash of the query's variable table (names + domains). Folded into
     /// the sub-BFS memo key: two queries can share a formula *shape*
     /// (identical `VarId` structure) while naming/typing their variables
@@ -843,8 +428,7 @@ impl<'a> Chase<'a> {
 
     /// Like [`Chase::new`], but the worker contexts are taken from `caches`
     /// (topped up with fresh ones if the thread budget grew); pair with
-    /// [`Chase::recycle_into`] to return them warm after the run. Reused
-    /// contexts keep the solver-cache capacity they were created with.
+    /// [`Chase::recycle_into`] to return them warm after the run.
     pub fn new_reusing(
         query: &'a Query,
         cfg: &'a ChaseConfig,
@@ -875,7 +459,7 @@ impl<'a> Chase<'a> {
             }
         }
         while ctxs.len() < threads {
-            let mut ctx = WorkerCtx::new(cfg, Arc::clone(&caches.shared));
+            let mut ctx = WorkerCtx::new(Arc::clone(&caches.shared));
             ctx.share_l2 = threads > 1;
             ctxs.push(ctx);
         }
@@ -906,10 +490,7 @@ impl<'a> Chase<'a> {
             run_counters: RunCounters::default(),
             drive_acc: DriveStats::default(),
             subsumed: 0,
-            wave_problems: 0,
-            wave_classes: 0,
             stats_base: ChaseStats::default(),
-            phase_base: trace::phase_totals(),
             query_key,
         };
         chase.stats_base = chase.cumulative_stats();
@@ -920,34 +501,6 @@ impl<'a> Chase<'a> {
     /// for the next run.
     pub fn recycle_into(self, caches: &mut ChaseCaches) {
         caches.ctxs = self.ctxs;
-    }
-
-    /// Hit/miss/eviction counters of the canonical-problem memo, summed
-    /// over all worker contexts (nested-BFS scratch contexts included).
-    pub fn solver_cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        self.visit_ctxs(&mut |c| {
-            total.hits += c.solver_cache.stats.hits;
-            total.misses += c.solver_cache.stats.misses;
-            total.evictions += c.solver_cache.stats.evictions;
-        });
-        total
-    }
-
-    /// Chase steps decided by extending the parent's saturated state
-    /// (summed over workers).
-    pub fn incr_extends(&self) -> usize {
-        let mut n = 0;
-        self.visit_ctxs(&mut |c| n += c.incr_extends);
-        n
-    }
-
-    /// Chase steps that fell back to the full consistency check (summed
-    /// over workers).
-    pub fn incr_fallbacks(&self) -> usize {
-        let mut n = 0;
-        self.visit_ctxs(&mut |c| n += c.incr_fallbacks);
-        n
     }
 
     fn visit_ctxs<'s>(&'s self, f: &mut dyn FnMut(&'s WorkerCtx)) {
@@ -961,15 +514,20 @@ impl<'a> Chase<'a> {
     /// baseline).
     fn cumulative_stats(&self) -> ChaseStats {
         let counters = self.run_counters.snapshot();
-        // Process-global cumulative; the per-run delta comes out of the
-        // `stats_base` subtraction like every other persistent counter.
+        // Process-global cumulatives (digest counters, traced phase time);
+        // the per-run delta comes out of the `stats_base` subtraction like
+        // every other persistent counter.
         let (digest_hits, digest_recomputes) = digest_stats::snapshot();
+        let [phase_solver_ns, phase_canon_ns, phase_dedupe_ns, phase_sched_ns] =
+            trace::phase_totals();
         let mut s = ChaseStats {
             subsumed_subtrees: self.subsumed,
             digest_hits,
             digest_recomputes,
-            wave_batch_problems: self.wave_problems,
-            wave_batch_classes: self.wave_classes,
+            phase_solver_ns,
+            phase_canon_ns,
+            phase_dedupe_ns,
+            phase_sched_ns,
             waves: self.drive_acc.waves,
             spilled_waves: self.drive_acc.spilled_waves,
             steals: counters.steals,
@@ -997,39 +555,7 @@ impl<'a> Chase<'a> {
     /// This run's execution counters (see [`ChaseStats`]): drive totals
     /// plus per-run deltas of the session-persistent cache counters.
     pub fn stats(&self) -> ChaseStats {
-        let cur = self.cumulative_stats();
-        let base = &self.stats_base;
-        let phases = trace::phase_totals();
-        ChaseStats {
-            phase_solver_ns: phases[0].saturating_sub(self.phase_base[0]),
-            phase_canon_ns: phases[1].saturating_sub(self.phase_base[1]),
-            phase_dedupe_ns: phases[2].saturating_sub(self.phase_base[2]),
-            phase_sched_ns: phases[3].saturating_sub(self.phase_base[3]),
-            waves: cur.waves,
-            spilled_waves: cur.spilled_waves,
-            steals: cur.steals,
-            resident_batches: cur.resident_batches,
-            scoped_batches: cur.scoped_batches,
-            dedupe_offers: cur.dedupe_offers,
-            dedupe_duplicates: cur.dedupe_duplicates,
-            dedupe_iso_checks: cur.dedupe_iso_checks,
-            solver_l1_hits: cur.solver_l1_hits - base.solver_l1_hits,
-            solver_l1_misses: cur.solver_l1_misses - base.solver_l1_misses,
-            solver_l2: sub_counts(cur.solver_l2, base.solver_l2),
-            sat_l1_hits: cur.sat_l1_hits - base.sat_l1_hits,
-            sat_l1_misses: cur.sat_l1_misses - base.sat_l1_misses,
-            sat_l2: sub_counts(cur.sat_l2, base.sat_l2),
-            incr_extends: cur.incr_extends - base.incr_extends,
-            incr_fallbacks: cur.incr_fallbacks - base.incr_fallbacks,
-            subsumed_subtrees: cur.subsumed_subtrees - base.subsumed_subtrees,
-            // Saturating: the digest counters are process-global, so a
-            // concurrent run elsewhere in the process can only inflate the
-            // delta, never underflow it — but stay defensive.
-            digest_hits: cur.digest_hits.saturating_sub(base.digest_hits),
-            digest_recomputes: cur.digest_recomputes.saturating_sub(base.digest_recomputes),
-            wave_batch_problems: cur.wave_batch_problems - base.wave_batch_problems,
-            wave_batch_classes: cur.wave_batch_classes - base.wave_batch_classes,
-        }
+        self.cumulative_stats().since(&self.stats_base)
     }
 
     fn absorb_drive(&mut self, st: DriveStats) {
@@ -1106,8 +632,6 @@ impl<'a> Chase<'a> {
             exec,
             subsume: SubsumePrune::for_seed(self.cfg, &i0),
             pruned: AtomicU64::new(0),
-            wave_problems: AtomicU64::new(0),
-            wave_classes: AtomicU64::new(0),
         };
         let start = self.start;
         let max = self.cfg.max_results;
@@ -1141,15 +665,9 @@ impl<'a> Chase<'a> {
                 &mut sink,
             )
         };
-        let (pruned, wave_problems, wave_classes) = (
-            task.pruned.load(Ordering::SeqCst),
-            task.wave_problems.load(Ordering::SeqCst),
-            task.wave_classes.load(Ordering::SeqCst),
-        );
+        let pruned = task.pruned.load(Ordering::SeqCst);
         self.absorb_drive(drive_stats);
         self.subsumed += pruned;
-        self.wave_problems += wave_problems;
-        self.wave_classes += wave_classes;
         self.done |= done;
         self.halted |= halted;
         self.collect_ctx_flags();
@@ -1235,8 +753,6 @@ impl<'a> Chase<'a> {
                     exec,
                     subsume: SubsumePrune::for_seed(cfg, &i0),
                     pruned: AtomicU64::new(0),
-                    wave_problems: AtomicU64::new(0),
-                    wave_classes: AtomicU64::new(0),
                 };
                 let mut acc: Vec<AcceptedInstance> = Vec::new();
                 let mut sink = |(inst, cov): (CInstance, Option<Coverage>)| {
@@ -1322,10 +838,6 @@ struct RootTask<'t> {
     subsume: Option<SubsumePrune>,
     /// Subtrees pruned this drive; read back by [`Chase`] afterwards.
     pruned: AtomicU64,
-    /// Wave-batching totals this drive (unique problems / canonical
-    /// classes); read back by [`Chase`] afterwards.
-    wave_problems: AtomicU64,
-    wave_classes: AtomicU64,
 }
 
 /// Prune state of one root drive: the accepted instances published at wave
@@ -1365,8 +877,8 @@ impl FrontierTask for RootTask<'_> {
 
     fn keys(&self, inst: &CInstance) -> SetKey {
         SetKey {
-            signature: signature_of(self.cfg, inst),
-            digest: digest_of(self.cfg, inst),
+            signature: signature(inst),
+            digest: exact_digest(inst),
         }
     }
 
@@ -1517,107 +1029,6 @@ impl FrontierTask for RootTask<'_> {
             sub.visible.publish(SUBSUME_VISIBLE_CAP);
         }
     }
-
-    /// Whole-wave solver batching (`cfg.wave_batch`, parallel driver only):
-    /// canonicalize every survivor's consistency problem once, dedupe
-    /// identical canonical problems across the wave, solve one
-    /// representative per class on the lead context, and prime every
-    /// worker's digest memo with the verdicts — so the per-item
-    /// `consistent` probes inside [`expand`](Self::expand) become O(1) hash
-    /// hits regardless of which worker each item lands on. Verdicts are
-    /// pure functions of the canonical problem, so this only moves work,
-    /// never changes answers.
-    fn prepare_wave(&self, ctxs: &mut [WorkerCtx], survivors: &[&CInstance]) {
-        if !self.cfg.wave_batch || survivors.len() < 2 || ctxs.is_empty() {
-            return;
-        }
-        let _s = trace::span_phase("wave_batch", "sched", Phase::Sched);
-        // Unique digests; a verdict some worker already holds (typically
-        // the child's producer) is fanned out without re-canonicalizing.
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut known: Vec<(u64, bool)> = Vec::new();
-        let mut unknown: Vec<(u64, &CInstance)> = Vec::new();
-        for inst in survivors {
-            let digest = digest_of(self.cfg, inst);
-            if !seen.insert(digest) {
-                continue;
-            }
-            match ctxs.iter().find_map(|c| c.consist_memo.get(&digest)) {
-                Some(&sat) => known.push((digest, sat)),
-                None => unknown.push((digest, inst)),
-            }
-        }
-        self.wave_problems.fetch_add(seen.len() as u64, Ordering::SeqCst);
-        // Canonicalize the undecided problems and group identical ones.
-        let mut class_of: HashMap<CanonKey, usize> = HashMap::new();
-        let mut classes: Vec<(Canonical, Vec<u64>)> = Vec::new();
-        for (digest, inst) in unknown {
-            let canon = {
-                let _c = trace::span_phase("canonicalize", "solver", Phase::Canon);
-                canonicalize(&to_problem(inst, self.cfg.enforce_keys))
-            };
-            match class_of.get(&canon.key) {
-                Some(&i) => classes[i].1.push(digest),
-                None => {
-                    class_of.insert(canon.key.clone(), classes.len());
-                    classes.push((canon, vec![digest]));
-                }
-            }
-        }
-        self.wave_classes.fetch_add(classes.len() as u64, Ordering::SeqCst);
-        // Resolve one representative per class on the lead context:
-        // L1 → shared L2 → batch solve, publishing fresh verdicts to L2.
-        let mut verdicts: Vec<(Vec<u64>, bool)> = known
-            .into_iter()
-            .map(|(digest, sat)| (vec![digest], sat))
-            .collect();
-        {
-            let ctx0 = &mut ctxs[0];
-            let mut to_solve: Vec<(Canonical, Vec<u64>)> = Vec::new();
-            for (canon, digests) in classes {
-                match ctx0.solver_cache.lookup_sat(&canon) {
-                    Some(sat) => verdicts.push((digests, sat)),
-                    None => {
-                        let l2 = ctx0
-                            .share_l2
-                            .then(|| ctx0.shared.solver.get(&canon.key))
-                            .flatten();
-                        match l2 {
-                            Some(result) => {
-                                let sat = result.is_some();
-                                ctx0.solver_cache.insert_canonical(canon.key.clone(), result);
-                                verdicts.push((digests, sat));
-                            }
-                            None => to_solve.push((canon, digests)),
-                        }
-                    }
-                }
-            }
-            let bits = {
-                let refs: Vec<&Canonical> = to_solve.iter().map(|(c, _)| c).collect();
-                let _solve = trace::span_phase("wave_batch_solve", "solver", Phase::Solver);
-                ctx0.solver_cache.solve_batch(&refs).0
-            };
-            for ((canon, digests), sat) in to_solve.into_iter().zip(bits) {
-                if ctx0.share_l2 {
-                    if let Some(result) = ctx0.solver_cache.peek_canonical(&canon.key) {
-                        ctx0.shared.solver.insert(canon.key, result);
-                    }
-                }
-                verdicts.push((digests, sat));
-            }
-        }
-        // Fan every verdict out to every worker's digest memo.
-        for ctx in ctxs.iter_mut() {
-            for (digests, sat) in &verdicts {
-                for &digest in digests {
-                    if ctx.consist_memo.len() < 1_000_000 {
-                        ctx.consist_memo.insert(digest, *sat);
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// The recursive chase engine: all of Algorithms 1–6 below the top level,
@@ -1652,7 +1063,7 @@ impl Engine<'_> {
     }
 
     fn consistent(&mut self, inst: &CInstance) -> bool {
-        let key = digest_of(self.cfg, inst);
+        let key = exact_digest(inst);
         if let Some(v) = self.ctx.consist_memo.get(&key) {
             return *v;
         }
@@ -1670,7 +1081,7 @@ impl Engine<'_> {
     /// touches keys or negative conditions (or no parent state is
     /// reusable).
     fn consistent_step(&mut self, parent: &CInstance, child: &CInstance) -> bool {
-        let key = digest_of(self.cfg, child);
+        let key = exact_digest(child);
         if let Some(v) = self.ctx.consist_memo.get(&key) {
             return *v;
         }
@@ -1835,7 +1246,7 @@ impl Engine<'_> {
         {
             return None;
         }
-        let parent_key = state_key(digest_of(self.cfg, parent), parent);
+        let parent_key = state_key(exact_digest(parent), parent);
         let mut seeded: Option<SaturatedState> = None;
         if self.ctx.sat_memo.contains_key(&parent_key) {
             self.ctx.sat_l1_hits += 1;
@@ -1894,7 +1305,7 @@ impl Engine<'_> {
         // `Chase::query_key`) + subtree structure + exact instance + the
         // homomorphism entries its free variables see.
         let fkey = hash_of(&(self.query_key, format!("{q:?}")));
-        let ikey = digest_of(self.cfg, i0);
+        let ikey = exact_digest(i0);
         let hkey = {
             let mut hh = DefaultHasher::new();
             for v in q.free_vars() {
@@ -1952,7 +1363,7 @@ impl Engine<'_> {
                     if inst.size() > self.cfg.limit {
                         continue;
                     }
-                    let sig = signature_of(self.cfg, &inst);
+                    let sig = signature(&inst);
                     if visited
                         .iter()
                         .any(|(s, v)| *s == sig && is_isomorphic(v, &inst))
@@ -2052,7 +1463,7 @@ impl Engine<'_> {
         let _fanout_span = trace::span("nested_wave_fanout", "chase");
         let mut scratch = std::mem::take(&mut self.ctx.scratch);
         while scratch.len() < width {
-            let mut fresh = WorkerCtx::new(self.cfg, Arc::clone(&self.ctx.shared));
+            let mut fresh = WorkerCtx::new(Arc::clone(&self.ctx.shared));
             fresh.share_l2 = self.ctx.share_l2;
             scratch.push(fresh);
         }
@@ -2523,9 +1934,9 @@ mod tests {
         let q = parse_query(&s, "{ (b1) | exists d1 (Likes(d1, b1)) }").unwrap();
         let cfg = ChaseConfig::with_limit(4);
         let shared = Arc::new(SharedMemos::default());
-        let mut a = WorkerCtx::new(&cfg, Arc::clone(&shared));
+        let mut a = WorkerCtx::new(Arc::clone(&shared));
         a.share_l2 = true;
-        let b = WorkerCtx::new(&cfg, Arc::clone(&shared));
+        let b = WorkerCtx::new(Arc::clone(&shared));
         let st = SaturatedState::saturate(&[], &[]).expect("empty state saturates");
         let mut engine = Engine {
             query: &q,
@@ -2674,38 +2085,6 @@ mod tests {
         assert_eq!(s1.subsumed_subtrees, s4.subsumed_subtrees);
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(format!("{a}"), format!("{b}"));
-        }
-    }
-
-    #[test]
-    fn digest_cache_knob_never_changes_answers() {
-        // `digest_cache = false` recomputes every digest from scratch; the
-        // values are identical, so the accepted stream must be too.
-        let (cached, _) = stats_run(FORALL_DISJ, &ChaseConfig::with_limit(10));
-        let (fresh, _) = stats_run(FORALL_DISJ, &ChaseConfig::with_limit(10).digest_cache(false));
-        assert_eq!(cached.len(), fresh.len());
-        for (a, b) in cached.iter().zip(&fresh) {
-            assert_eq!(format!("{a}"), format!("{b}"));
-        }
-    }
-
-    #[test]
-    fn wave_batch_counts_problems_and_preserves_stream() {
-        // A wide disjunctive frontier at 4 threads routes surviving
-        // branches through the wave batcher; the verdicts are pure
-        // functions of the canonical problem, so the stream is unchanged.
-        let src = "{ (x1) | exists b1, p1 (Serves(x1, b1, p1) and (p1 > 3.0 or p1 < 1.0)) }";
-        let base = ChaseConfig::with_limit(8).threads(4).parallel_min_frontier(0);
-        let (batched, sb) = stats_run(src, &base.clone().wave_batch(true));
-        let (plain, sp) = stats_run(src, &base.wave_batch(false));
-        assert!(
-            sb.wave_batch_problems > 0,
-            "wide waves must route problems through the batcher"
-        );
-        assert_eq!(sp.wave_batch_problems, 0);
-        assert_eq!(batched.len(), plain.len());
-        for (a, b) in batched.iter().zip(&plain) {
             assert_eq!(format!("{a}"), format!("{b}"));
         }
     }

@@ -114,10 +114,10 @@ pub struct ChaseConfig {
     pub max_results: Option<usize>,
     /// Memoize solver outcomes on canonicalized problems
     /// ([`cqi_solver::SolverCache`]), so structurally isomorphic
-    /// `IsConsistent` subproblems are decided once per chase run.
+    /// `IsConsistent` subproblems are decided once per chase run. Each
+    /// worker's memo holds `cqi_solver::cache::DEFAULT_CACHE_CAPACITY`
+    /// entries, LRU-evicted.
     pub solver_cache: bool,
-    /// Capacity of the canonical-problem memo (entries, LRU-evicted).
-    pub solver_cache_capacity: usize,
     /// Reuse the parent instance's saturated theory state
     /// ([`cqi_solver::SaturatedState`]) when a chase step adds one tuple or
     /// condition to a pure-conjunctive instance, instead of re-running the
@@ -165,20 +165,6 @@ pub struct ChaseConfig {
     /// differ from an unpruned run on adversarial non-monotone formulas,
     /// so the fuzz oracle cross-checks this flag rather than assuming it.
     pub subsume_prune: bool,
-    /// Whole-wave solver batching (parallel driver only): before expanding
-    /// a wave, canonicalize every surviving branch's consistency problem,
-    /// dedupe identical canonical problems, solve one representative per
-    /// equivalence class, and prime every worker's memo with the verdicts.
-    /// Purely a wall-clock knob — `Engine::consistent` reaches the same
-    /// canonical problem and therefore the same verdict either way.
-    pub wave_batch: bool,
-    /// Serve `exact_digest`/`signature` from the per-instance memo fed by
-    /// incrementally maintained hash chains (`cqi-instance`). Off, every
-    /// digest probe recomputes from scratch — all cells re-hashed, color
-    /// refinement re-run — reproducing the pre-memo engine for A/B
-    /// benchmarks (`chase_digest_cache` in `bench_chase`). Identical
-    /// digests either way, so answers and accepted streams never change.
-    pub digest_cache: bool,
     /// Capture a span trace of the run (`cqi-obs`): request → root job →
     /// wave → solver-call spans recorded into per-thread ring buffers and
     /// returned as Chrome trace-event JSON on `CSolution::trace`, plus the
@@ -197,7 +183,6 @@ impl ChaseConfig {
             enforce_keys: false,
             max_results: None,
             solver_cache: true,
-            solver_cache_capacity: cqi_solver::cache::DEFAULT_CACHE_CAPACITY,
             incremental: true,
             incremental_min_lits: 6,
             threads: 1,
@@ -205,8 +190,6 @@ impl ChaseConfig {
             nested_min_wave: 8,
             cancel: None,
             subsume_prune: false,
-            wave_batch: true,
-            digest_cache: true,
             trace: false,
         }
     }
@@ -228,11 +211,6 @@ impl ChaseConfig {
 
     pub fn solver_cache(mut self, on: bool) -> ChaseConfig {
         self.solver_cache = on;
-        self
-    }
-
-    pub fn solver_cache_capacity(mut self, entries: usize) -> ChaseConfig {
-        self.solver_cache_capacity = entries;
         self
     }
 
@@ -268,16 +246,6 @@ impl ChaseConfig {
 
     pub fn subsume_prune(mut self, on: bool) -> ChaseConfig {
         self.subsume_prune = on;
-        self
-    }
-
-    pub fn wave_batch(mut self, on: bool) -> ChaseConfig {
-        self.wave_batch = on;
-        self
-    }
-
-    pub fn digest_cache(mut self, on: bool) -> ChaseConfig {
-        self.digest_cache = on;
         self
     }
 
@@ -325,9 +293,8 @@ mod tests {
         assert_eq!(c.max_results, Some(3));
         // Cache and incrementality default on.
         assert!(c.solver_cache && c.incremental);
-        let cold = c.solver_cache(false).incremental(false).solver_cache_capacity(16);
+        let cold = c.solver_cache(false).incremental(false);
         assert!(!cold.solver_cache && !cold.incremental);
-        assert_eq!(cold.solver_cache_capacity, 16);
     }
 
     #[test]
@@ -360,8 +327,6 @@ mod tests {
     fn algorithmic_cut_knobs() {
         let c = ChaseConfig::with_limit(6);
         assert!(!c.subsume_prune, "pruning is opt-in");
-        assert!(c.wave_batch, "wave batching defaults on");
-        let tuned = c.subsume_prune(true).wave_batch(false);
-        assert!(tuned.subsume_prune && !tuned.wave_batch);
+        assert!(c.subsume_prune(true).subsume_prune);
     }
 }

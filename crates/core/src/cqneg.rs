@@ -58,7 +58,7 @@ pub fn cq_neg_universal_solution(tree: &SyntaxTree, enforce_keys: bool) -> Optio
         timed_out: false,
         interrupted: None,
         total_time: start.elapsed(),
-        stats: crate::chase::ChaseStats::default(),
+        stats: crate::ChaseStats::default(),
         trace: None,
     })
 }

@@ -50,16 +50,18 @@ pub mod cqneg;
 pub mod dnf;
 pub mod session;
 pub mod solution;
+pub mod stats;
 pub mod testgen;
 pub mod treesat;
 pub mod variants;
 
-pub use chase::{ChaseCaches, ChaseStats};
+pub use chase::ChaseCaches;
 pub use config::{CancelToken, ChaseConfig, Variant};
 pub use cover::coverage_of_cinstance;
 pub use cqneg::cq_neg_universal_solution;
 pub use session::{ExplainRequest, QueryInput, Session, SolutionStream};
 pub use solution::{AcceptedInstance, CSolution, Interrupted, SatInstance};
+pub use stats::ChaseStats;
 pub use treesat::tree_sat;
 pub use testgen::{generate_selective_instance, generate_test_matrix};
 pub use variants::{run_variant, run_variant_deepening, run_variant_observed};

@@ -8,7 +8,7 @@ use std::time::Duration;
 use cqi_drc::Coverage;
 use cqi_instance::{json_escape, CInstance};
 
-use crate::chase::ChaseStats;
+use crate::stats::ChaseStats;
 
 /// Why an explain/chase run stopped before exhausting the search space.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -118,16 +118,17 @@ pub fn exact_digest(inst: &CInstance) -> u64 {
     }
     digest_stats::recompute();
     let chains = inst.chains();
-    debug_assert_eq!(
-        chains.rels,
-        crate::cinstance::DigestChains::recompute(&inst.tables, &inst.global).rels,
-        "incremental relation chains diverged from from-scratch recomputation"
-    );
-    debug_assert_eq!(
-        chains.conds,
-        crate::cinstance::DigestChains::recompute(&inst.tables, &inst.global).conds,
-        "incremental condition chain diverged from from-scratch recomputation"
-    );
+    if cfg!(debug_assertions) {
+        let fresh = crate::cinstance::DigestChains::recompute(&inst.tables, &inst.global);
+        debug_assert_eq!(
+            chains.rels, fresh.rels,
+            "incremental relation chains diverged from from-scratch recomputation"
+        );
+        debug_assert_eq!(
+            chains.conds, fresh.conds,
+            "incremental condition chain diverged from from-scratch recomputation"
+        );
+    }
     let mut hh = DefaultHasher::new();
     chains.rels.hash(&mut hh);
     chains.conds.hash(&mut hh);
@@ -135,20 +136,6 @@ pub fn exact_digest(inst: &CInstance) -> u64 {
     let d = hh.finish();
     let _ = inst.digest_memo.set(d);
     d
-}
-
-/// [`exact_digest`] recomputed from scratch — every cell and condition
-/// re-hashed, no memo read or written. Same value as `exact_digest` (the
-/// chains are deterministic), provided for A/B benchmarking of the
-/// incremental-digest cut (`ChaseConfig::digest_cache = false`).
-pub fn exact_digest_fresh(inst: &CInstance) -> u64 {
-    digest_stats::recompute();
-    let chains = crate::cinstance::DigestChains::recompute(&inst.tables, &inst.global);
-    let mut hh = DefaultHasher::new();
-    chains.rels.hash(&mut hh);
-    chains.conds.hash(&mut hh);
-    (inst.num_nulls() as u64).hash(&mut hh);
-    hh.finish()
 }
 
 /// A renaming-invariant hash of the whole c-instance. Equal signatures are
@@ -163,13 +150,6 @@ pub fn signature(inst: &CInstance) -> u64 {
     let s = signature_uncached(inst);
     let _ = inst.sig_memo.set(s);
     s
-}
-
-/// [`signature`] recomputed from scratch (full color refinement), no memo
-/// read or written — the A/B twin of [`exact_digest_fresh`].
-pub fn signature_fresh(inst: &CInstance) -> u64 {
-    digest_stats::recompute();
-    signature_uncached(inst)
 }
 
 fn signature_uncached(inst: &CInstance) -> u64 {

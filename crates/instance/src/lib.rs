@@ -31,8 +31,5 @@ pub mod json;
 pub use cinstance::{CInstance, Cond, NullInfo};
 pub use ground::GroundInstance;
 pub use grounding::ground_instance;
-pub use iso::{
-    digest_stats, exact_digest, exact_digest_fresh, is_isomorphic, signature, signature_fresh,
-    subsumes,
-};
+pub use iso::{digest_stats, exact_digest, is_isomorphic, signature, subsumes};
 pub use json::{json_escape, json_well_formed};

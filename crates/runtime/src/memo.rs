@@ -44,6 +44,29 @@ pub struct MemoCounts {
     pub contended: u64,
 }
 
+impl std::ops::AddAssign for MemoCounts {
+    fn add_assign(&mut self, o: MemoCounts) {
+        self.hits += o.hits;
+        self.misses += o.misses;
+        self.inserts += o.inserts;
+        self.contended += o.contended;
+    }
+}
+
+/// The counts accrued since an earlier snapshot `base` of the same memo.
+impl std::ops::Sub for MemoCounts {
+    type Output = MemoCounts;
+
+    fn sub(self, base: MemoCounts) -> MemoCounts {
+        MemoCounts {
+            hits: self.hits - base.hits,
+            misses: self.misses - base.misses,
+            inserts: self.inserts - base.inserts,
+            contended: self.contended - base.contended,
+        }
+    }
+}
+
 impl MemoStats {
     pub fn snapshot(&self) -> MemoCounts {
         MemoCounts {

@@ -167,13 +167,6 @@ pub trait FrontierTask: Sync {
     /// generation `k+1`), so state published here is identical across
     /// sequential and parallel drives.
     fn wave_boundary(&self) {}
-
-    /// Called by the wave-parallel driver only, on the driving thread,
-    /// after a wave's surviving items are known and before their expansion
-    /// fans out. `ctxs` are all worker contexts — the hook may pre-solve
-    /// shared work once and prime every context's memo state (speed only,
-    /// never answers; the sequential driver never calls this).
-    fn prepare_wave(&self, _ctxs: &mut [Self::Ctx], _survivors: &[&Self::Item]) {}
 }
 
 /// Drives a [`FrontierTask`] to exhaustion. `sink` receives accepted
@@ -424,15 +417,6 @@ impl<T: FrontierTask> FrontierScheduler<T> for ParallelScheduler {
                     })
                     .collect()
             };
-
-            // Phase 2.5: whole-wave preparation (e.g. batched canonical
-            // solving) on the driver thread, with all contexts available.
-            {
-                let _s = trace::span_phase("wave_prepare", "sched", Phase::Sched);
-                let survivor_items: Vec<&T::Item> =
-                    survivors.iter().map(|&i| &wave[i].1).collect();
-                task.prepare_wave(ctxs, &survivor_items);
-            }
 
             // Phase 3 (parallel): expand survivors on worker-local contexts.
             let expansions: Vec<Expansion<T::Item, T::Accept>> = {

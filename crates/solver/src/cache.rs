@@ -162,42 +162,6 @@ impl SolverCache {
         matches!(self.solve(problem), Outcome::Sat(_))
     }
 
-    /// Batch entry for wave-level solving: decides every pre-canonicalized
-    /// problem, solving each *distinct* canonical problem exactly once and
-    /// fanning the verdict out to its duplicates. Returns the sat bit per
-    /// input (input order) plus the number of equivalence classes the batch
-    /// collapsed to. Equivalent to calling [`lookup_sat`](Self::lookup_sat)
-    /// / [`solve_canonical`](Self::solve_canonical) per input — outcomes
-    /// are pure functions of the canonical key — but repeat keys skip even
-    /// the memo probe.
-    pub fn solve_batch(&mut self, canons: &[&Canonical]) -> (Vec<bool>, usize) {
-        let mut verdicts = vec![false; canons.len()];
-        // Class -> indices of its members, in first-seen order.
-        let mut class_of: HashMap<&CanonKey, usize> = HashMap::new();
-        let mut classes: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (i, c) in canons.iter().enumerate() {
-            match class_of.get(&c.key) {
-                Some(&k) => classes[k].1.push(i),
-                None => {
-                    class_of.insert(&c.key, classes.len());
-                    classes.push((i, vec![i]));
-                }
-            }
-        }
-        let num_classes = classes.len();
-        for (rep, members) in classes {
-            let canon = canons[rep];
-            let sat = match self.lookup_sat(canon) {
-                Some(sat) => sat,
-                None => matches!(self.solve_canonical(canon), Outcome::Sat(_)),
-            };
-            for i in members {
-                verdicts[i] = sat;
-            }
-        }
-        (verdicts, num_classes)
-    }
-
     /// Drops the least-recently-used quarter of the entries (ticks are
     /// unique per operation, so the cutoff removes exactly that fraction).
     fn evict(&mut self) {
@@ -270,29 +234,6 @@ mod tests {
         // Evicted entries re-solve correctly.
         assert!(cache.is_sat(&window(0, 0, 2)));
         assert!(!cache.is_sat(&window(0, 0, 1)));
-    }
-
-    #[test]
-    fn solve_batch_collapses_duplicate_classes() {
-        let mut cache = SolverCache::default();
-        // Three inputs, two classes: windows (1,5) under two null namings
-        // (isomorphic — one class) plus an unsat window.
-        let canons: Vec<Canonical> = [window(0, 1, 5), window(3, 1, 5), window(0, 2, 3)]
-            .iter()
-            .map(canonicalize)
-            .collect();
-        let refs: Vec<&Canonical> = canons.iter().collect();
-        let (verdicts, classes) = cache.solve_batch(&refs);
-        assert_eq!(verdicts, vec![true, true, false]);
-        assert_eq!(classes, 2, "isomorphic windows share one class");
-        // Duplicates never even probed the memo: one miss per class.
-        assert_eq!(cache.stats.misses, 2);
-        assert_eq!(cache.stats.hits, 0);
-        // A second batch hits the memo wholesale.
-        let (verdicts2, _) = cache.solve_batch(&refs);
-        assert_eq!(verdicts2, vec![true, true, false]);
-        assert_eq!(cache.stats.misses, 2);
-        assert_eq!(cache.stats.hits, 2);
     }
 
     #[test]

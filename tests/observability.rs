@@ -216,3 +216,115 @@ fn metrics_exposition_parses_line_by_line() {
     // The JSON rendering of the same registry is well-formed.
     assert!(cqi::instance::json_well_formed(&cqi::obs::global().render_json()));
 }
+
+/// Every key of a JSON object whose values are numbers or objects, nested
+/// keys as `outer.inner` paths.
+fn json_key_paths(json: &str) -> Vec<String> {
+    let mut paths = Vec::new();
+    let mut open: Vec<String> = Vec::new();
+    let mut last_key: Option<String> = None;
+    let mut chars = json.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' => {
+                let key: String = chars.by_ref().take_while(|&c| c != '"').collect();
+                let mut path = open.clone();
+                path.push(key.clone());
+                paths.push(path.join("."));
+                last_key = Some(key);
+            }
+            '{' => open.extend(last_key.take()),
+            '}' => {
+                open.pop();
+            }
+            _ => {}
+        }
+    }
+    paths
+}
+
+/// Pins the surface generated from the `ChaseStats` counter table: after
+/// one explain, `to_json` carries exactly these keys and the registry
+/// exactly these chase series, so a dropped or renamed row fails here.
+#[test]
+fn chase_stats_json_keys_and_metric_series_are_pinned() {
+    let _guard = capture_lock();
+    let s = schema();
+    let tree = SyntaxTree::new(parse_query(&s, QUERIES[3]).unwrap());
+    let (_, sol) = streamed(&s, &tree, Variant::ConjAdd, 5, 1, true);
+
+    let json = sol.stats.to_json();
+    assert!(cqi::instance::json_well_formed(&json), "{json}");
+    let mut keys = json_key_paths(&json);
+    keys.sort();
+    let mut expected = vec![
+        "waves",
+        "spilled_waves",
+        "steals",
+        "resident_batches",
+        "scoped_batches",
+        "dedupe_offers",
+        "dedupe_duplicates",
+        "dedupe_iso_checks",
+        "solver_l1_hit_rate",
+        "solver_l2_hit_rate",
+        "sat_l1_hit_rate",
+        "sat_l2_hit_rate",
+        "l2_contended",
+        "incr_extends",
+        "incr_fallbacks",
+        "subsumed_subtrees",
+        "digest_cache",
+        "digest_cache.hits",
+        "digest_cache.recomputes",
+        "phases",
+        "phases.solver_ns",
+        "phases.canonicalization_ns",
+        "phases.dedupe_ns",
+        "phases.scheduling_ns",
+    ];
+    expected.sort_unstable();
+    assert_eq!(keys, expected, "ChaseStats::to_json keys: {json}");
+
+    let text = cqi::obs::global().render_text();
+    let series: Vec<&str> = text
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' ').map(|(series, _)| series))
+        .collect();
+    let expected_series = [
+        "cqi_chase_waves_total",
+        "cqi_chase_steals_total",
+        "cqi_dedupe_offers_total",
+        "cqi_dedupe_duplicates_total",
+        "cqi_solver_memo_lookups_total{tier=\"l1\",outcome=\"hit\"}",
+        "cqi_solver_memo_lookups_total{tier=\"l1\",outcome=\"miss\"}",
+        "cqi_solver_memo_lookups_total{tier=\"l2\",outcome=\"hit\"}",
+        "cqi_solver_memo_lookups_total{tier=\"l2\",outcome=\"miss\"}",
+        "cqi_incremental_extends_total",
+        "cqi_incremental_fallbacks_total",
+        "cqi_chase_subsumed_total",
+        "cqi_digest_cache_total{outcome=\"hit\"}",
+        "cqi_digest_cache_total{outcome=\"recompute\"}",
+        "cqi_phase_ns_total{phase=\"solver\"}",
+        "cqi_phase_ns_total{phase=\"canonicalization\"}",
+        "cqi_phase_ns_total{phase=\"dedupe\"}",
+        "cqi_phase_ns_total{phase=\"scheduling\"}",
+        "cqi_consistency_checks_total",
+    ];
+    for want in expected_series {
+        assert!(series.contains(&want), "missing series {want}: {text}");
+    }
+    // No other counter family: every `# TYPE` line names an expected
+    // series or the nested-wave histogram.
+    for line in text.lines().filter(|l| l.starts_with("# TYPE ")) {
+        let name = line["# TYPE ".len()..].split(' ').next().unwrap();
+        assert!(
+            name == "cqi_nested_wave_width"
+                || expected_series
+                    .iter()
+                    .any(|s| s.split('{').next() == Some(name)),
+            "unexpected series family {name}: {text}"
+        );
+    }
+}
