@@ -1,6 +1,6 @@
 //! Thread-scaling sweep for the parallel chase (`cqi-runtime`):
 //! representative `fig8` (Beers) and `fig11` (TPC-H) workloads at 1, 2,
-//! and 4 threads, plus the `parallel_min_frontier` spill knob.
+//! and 4 threads, plus the subsumption-prune A/B pair.
 //!
 //! Each thread budget runs through a persistent [`Session`], so the
 //! resident worker pool is spawned once per configuration and every
@@ -8,11 +8,10 @@
 //! the deployment profile of a long-lived explain service.
 //!
 //! CI runs this with `BENCH_JSON=BENCH_chase.json`, so the 1/2/4-thread
-//! series is tracked as a perf-trajectory artifact. On a single-core host
-//! the series should be near parity (the determinism guarantee makes
-//! parallelism a pure wall-clock knob; the shared L2 memo offsets the
-//! hand-off overhead); on a ≥4-core runner the 4-thread rows are expected
-//! to be ≥2x faster on the wide-frontier workloads.
+//! series is tracked as a perf-trajectory artifact. Threads fan out the
+//! independent root searches of a `Conj-Add` run (its conjunctive trees,
+//! then its `*-Add` re-seeds); the determinism guarantee makes the budget
+//! a pure wall-clock knob, so the rows differ only in time.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -127,37 +126,6 @@ fn bench_fig11_thread_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// The spill knob: an over-high threshold forces every wave inline (the
-/// parallel scheduler degenerates to sequential + dedupe-set overhead), so
-/// the delta between `spill=0` and `spill=max` bounds the wave fan-out win.
-fn bench_spill_threshold(c: &mut Criterion) {
-    let queries = beers_queries();
-    let dq = queries.iter().find(|q| q.name == "Q2B").unwrap();
-    let tree = SyntaxTree::new(dq.query.clone());
-    let mut g = c.benchmark_group("chase_spill_threshold");
-    g.sample_size(10);
-    for (label, min_frontier) in [("spill=0", 0usize), ("spill=4", 4), ("spill=max", usize::MAX)] {
-        let cfg = ChaseConfig::with_limit(8)
-            .enforce_keys(true)
-            .timeout(Duration::from_secs(10))
-            .threads(4)
-            .parallel_min_frontier(min_frontier);
-        let session = Session::new(dq.query.schema.clone()).config(cfg);
-        g.bench_with_input(BenchmarkId::from_parameter(label), &tree, |b, tree| {
-            b.iter(|| {
-                black_box(
-                    session
-                        .explain_collect(
-                            ExplainRequest::tree(black_box(tree)).variant(Variant::DisjEO),
-                        )
-                        .unwrap(),
-                )
-            });
-        });
-    }
-    g.finish();
-}
-
 /// The subsumption-prune cut, A/B on its raw-stream contract: `prune=on`
 /// drops accepts that embed an earlier equal-coverage accept (87 → 12 raw
 /// on this workload, minimized solutions identical). The wall-clock delta
@@ -192,7 +160,6 @@ criterion_group!(
     benches,
     bench_fig8_thread_scaling,
     bench_fig11_thread_scaling,
-    bench_spill_threshold,
     bench_subsume_prune
 );
 criterion_main!(benches);

@@ -165,14 +165,6 @@ fn emit_run_config(o: &mut Opts, cmd: &str) {
             "resident_pool".to_owned(),
             (resolved > 1).to_string(),
         ],
-        vec![
-            "parallel_min_frontier".to_owned(),
-            defaults.parallel_min_frontier.to_string(),
-        ],
-        vec![
-            "nested_min_wave".to_owned(),
-            defaults.nested_min_wave.to_string(),
-        ],
         vec!["solver_cache".to_owned(), defaults.solver_cache.to_string()],
         vec!["incremental".to_owned(), defaults.incremental.to_string()],
         vec!["subsume_prune".to_owned(), defaults.subsume_prune.to_string()],
@@ -198,8 +190,8 @@ fn emit_engine_stats(o: &mut Opts, label: &str, records: &[RunRecord]) {
     let pct = |r: f64| format!("{:.1}%", r * 100.0);
     println!("\n== {label}: engine counters ==");
     println!(
-        "  waves: {} ({} spilled)   batches: {} resident / {} scoped   steals: {}",
-        t.waves, t.spilled_waves, t.resident_batches, t.scoped_batches, t.steals
+        "  waves: {} ({} spilled)   batches: {} resident   steals: {}",
+        t.waves, t.spilled_waves, t.resident_batches, t.steals
     );
     println!(
         "  solver memo hit rate: L1 {} / L2 {}   sat-state: L1 {} / L2 {}",
@@ -223,7 +215,6 @@ fn emit_engine_stats(o: &mut Opts, label: &str, records: &[RunRecord]) {
         vec!["spilled_waves".to_owned(), t.spilled_waves.to_string()],
         vec!["steals".to_owned(), t.steals.to_string()],
         vec!["resident_batches".to_owned(), t.resident_batches.to_string()],
-        vec!["scoped_batches".to_owned(), t.scoped_batches.to_string()],
         vec!["dedupe_offers".to_owned(), t.dedupe_offers.to_string()],
         vec!["dedupe_duplicates".to_owned(), t.dedupe_duplicates.to_string()],
         vec!["dedupe_iso_checks".to_owned(), t.dedupe_iso_checks.to_string()],

@@ -10,7 +10,7 @@
 //! 1. the file is well-formed JSON (`cqi_instance::json_well_formed`);
 //! 2. it contains at least one complete (`"ph": "X"`) `explain` span —
 //!    the per-request root;
-//! 3. at least one wave-level span (`wave` from the parallel scheduler or
+//! 3. at least one wave-level span (`wave` from the frontier driver, or
 //!    `nested_wave`/`root_job` from the chase) is time-contained in the
 //!    `explain` span;
 //! 4. at least one solver-category span (`canonicalize`, `l1_lookup`,
@@ -86,8 +86,8 @@ fn field_num(obj: &str, key: &str) -> Option<f64> {
 }
 
 /// Span names that count as the wave level of the request → wave →
-/// solver nesting. `wave` only exists on parallel runs; the chase's own
-/// `nested_wave`/`root_job` spans cover sequential ones.
+/// solver nesting: the frontier driver's per-generation `wave`, and the
+/// chase's own `nested_wave`/`root_job` spans.
 const WAVE_NAMES: [&str; 3] = ["wave", "nested_wave", "root_job"];
 
 /// Span names that count as solver work (the chase's phase-attributed

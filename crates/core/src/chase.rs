@@ -13,20 +13,18 @@
 //!
 //! ## Execution model (`cqi-runtime`)
 //!
-//! The *top-level* frontier of Algorithm 1 is a work-list of independent
-//! branch candidates, and expanding one candidate is a pure function of the
-//! candidate — all mutable state ([`WorkerCtx`]: solver memos, saturated
-//! states, sub-BFS results) only affects speed. [`Chase`] therefore routes
-//! the top-level loop through a [`cqi_runtime::FrontierScheduler`]:
-//! sequentially with one context when `ChaseConfig::threads <= 1`,
-//! wave-parallel over per-worker contexts otherwise, with the `visited`
-//! check backed by [`cqi_runtime::ShardedDedupe`] keyed on the
-//! [`signature`]/[`exact_digest`] iso-invariants. Multi-root runs (the
-//! `Conj-*` tree sets and the `*-Add` re-seeds) additionally fan out whole
-//! root searches across workers ([`Chase::run_roots`]). Results are merged
-//! in FIFO/job order, so parallel runs accept the *same instances in the
-//! same order* as sequential ones (asserted by
-//! `crates/core/tests/parallel_props.rs`).
+//! Each root search is driven FIFO on one worker context by
+//! [`cqi_runtime::drive`], with the `visited` check backed by
+//! [`cqi_runtime::ShardedDedupe`] keyed on the
+//! [`signature`]/[`exact_digest`] iso-invariants. Expanding a candidate is
+//! a pure function of the candidate — all mutable state ([`WorkerCtx`]:
+//! solver memos, saturated states, sub-BFS results) only affects speed —
+//! so a root's accepted stream does not depend on which worker drove it.
+//! Parallelism has exactly one axis: multi-root runs (the `Conj-*` tree
+//! sets and the `*-Add` re-seeds) fan whole root searches out across the
+//! resident pool ([`Chase::run_roots`]), and results are merged in job
+//! order, so parallel runs accept the *same instances in the same order*
+//! as sequential ones (asserted by `crates/core/tests/parallel_props.rs`).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -44,8 +42,8 @@ use cqi_instance::{
     digest_stats, exact_digest, is_isomorphic, signature, subsumes, CInstance, Cond,
 };
 use cqi_runtime::{
-    DriveStats, Exec, Expansion, FrontierScheduler, FrontierTask, ParallelScheduler,
-    ResidentPool, RunCounters, SequentialScheduler, SetKey, StripedMemo, WaveVisible,
+    drive, DriveStats, Exec, Expansion, FrontierTask, ResidentPool, RunCounters, SetKey,
+    StripedMemo, WaveVisible,
 };
 use cqi_solver::canon::{canonicalize, CanonKey};
 use cqi_solver::{Ent, Lit, Model, SaturatedState, SolverCache};
@@ -154,7 +152,7 @@ fn consistency_checks_metric() -> &'static cqi_obs::Counter {
 }
 
 /// Width of each nested-BFS wave, observed into a log-bucketed histogram
-/// (drives the `nested_min_wave` tuning from ROADMAP item 2).
+/// (the shape of the recursive searches, for profiling).
 fn wave_width_metric() -> &'static cqi_obs::Histogram {
     use std::sync::OnceLock;
     static H: OnceLock<std::sync::Arc<cqi_obs::Histogram>> = OnceLock::new();
@@ -209,10 +207,6 @@ pub(crate) struct WorkerCtx {
     /// only — a lone worker has no sibling to share with, so L2 traffic
     /// would be pure overhead).
     share_l2: bool,
-    /// Contexts for nested-BFS fan-out (`Engine::expand_wave`): lazily
-    /// built, persisted here so their memos warm up across waves. They
-    /// share this context's `shared` tier.
-    scratch: Vec<WorkerCtx>,
     /// `sat_memo` lookups that hit / missed (the L1 side of the tiered
     /// saturated-state memo).
     sat_l1_hits: u64,
@@ -240,7 +234,6 @@ impl WorkerCtx {
             sat_memo: HashMap::new(),
             shared,
             share_l2: false,
-            scratch: Vec::new(),
             sat_l1_hits: 0,
             sat_l1_misses: 0,
             incr_extends: 0,
@@ -248,43 +241,6 @@ impl WorkerCtx {
             incr_fallbacks: 0,
             timed_out: false,
             cancelled: false,
-        }
-    }
-
-    /// Clears the per-run flags while keeping every memo warm — the reuse
-    /// contract of [`ChaseCaches`].
-    fn reset_run_flags(&mut self) {
-        self.timed_out = false;
-        self.cancelled = false;
-        for c in &mut self.scratch {
-            c.reset_run_flags();
-        }
-    }
-
-    /// Sets per-run L2 participation, recursively (scratch contexts follow
-    /// their owner).
-    fn set_share_l2(&mut self, on: bool) {
-        self.share_l2 = on;
-        for c in &mut self.scratch {
-            c.set_share_l2(on);
-        }
-    }
-
-    /// Clears the param-sensitive memos (see [`CacheParams`]), recursively.
-    fn clear_param_memos(&mut self) {
-        self.bfs_memo.clear();
-        self.consist_memo.clear();
-        for c in &mut self.scratch {
-            c.clear_param_memos();
-        }
-    }
-
-    /// Visits this context and every (transitive) scratch context — the
-    /// stat sums must see nested-BFS workers too.
-    fn visit<'s>(&'s self, f: &mut dyn FnMut(&'s WorkerCtx)) {
-        f(self);
-        for c in &self.scratch {
-            c.visit(f);
         }
     }
 }
@@ -327,7 +283,7 @@ pub struct ChaseCaches {
     shared: Arc<SharedMemos>,
     /// The session's resident worker pool, spawned once (lazily, on the
     /// first parallel run) and reused by every subsequent run. `None`
-    /// until then — pool-less chases fan out on per-call scoped threads.
+    /// until then — pool-less chases run every root job inline.
     pool: Option<Arc<ResidentPool>>,
 }
 
@@ -339,7 +295,7 @@ impl ChaseCaches {
     /// Spawns (or resizes) the resident pool backing a `threads`-wide run:
     /// `threads - 1` parked workers, the calling thread being the last
     /// participant. Called by the session-backed entry points; one-shot
-    /// [`Chase::new`] never spawns a pool and keeps the scoped fallback.
+    /// [`Chase::new`] never spawns a pool and runs root jobs inline.
     pub fn ensure_pool(&mut self, threads: usize) {
         let helpers = threads.saturating_sub(1);
         if helpers == 0 {
@@ -397,7 +353,7 @@ pub struct Chase<'a> {
     /// context.
     ctxs: Vec<WorkerCtx>,
     /// The session's resident pool, if one was spawned (see
-    /// [`ChaseCaches::ensure_pool`]); `None` falls back to scoped threads.
+    /// [`ChaseCaches::ensure_pool`]); `None` runs root jobs inline.
     pool: Option<Arc<ResidentPool>>,
     /// The shared (L2) memo tier, for the stats snapshot.
     shared: Arc<SharedMemos>,
@@ -449,13 +405,17 @@ impl<'a> Chase<'a> {
         let mut ctxs: Vec<WorkerCtx> = std::mem::take(&mut caches.ctxs);
         ctxs.truncate(threads);
         for ctx in &mut ctxs {
-            ctx.reset_run_flags();
+            // Per-run flags reset; every memo stays warm — the reuse
+            // contract of [`ChaseCaches`].
+            ctx.timed_out = false;
+            ctx.cancelled = false;
             // A lone worker has no sibling to share solver answers with.
-            ctx.set_share_l2(threads > 1);
+            ctx.share_l2 = threads > 1;
             if !param_safe {
                 // These memos' answers depend on the run parameters (see
                 // [`CacheParams`]); a differing run must not see them.
-                ctx.clear_param_memos();
+                ctx.bfs_memo.clear();
+                ctx.consist_memo.clear();
             }
         }
         while ctxs.len() < threads {
@@ -503,12 +463,6 @@ impl<'a> Chase<'a> {
         caches.ctxs = self.ctxs;
     }
 
-    fn visit_ctxs<'s>(&'s self, f: &mut dyn FnMut(&'s WorkerCtx)) {
-        for c in &self.ctxs {
-            c.visit(f);
-        }
-    }
-
     /// Every counter at its current cumulative value (caches persist
     /// across session runs; [`Chase::stats`] subtracts the construction
     /// baseline).
@@ -529,10 +483,10 @@ impl<'a> Chase<'a> {
             phase_dedupe_ns,
             phase_sched_ns,
             waves: self.drive_acc.waves,
-            spilled_waves: self.drive_acc.spilled_waves,
+            // Every wave runs inline on its root's worker context.
+            spilled_waves: self.drive_acc.waves,
             steals: counters.steals,
             resident_batches: counters.resident_batches,
-            scoped_batches: counters.scoped_batches,
             dedupe_offers: self.drive_acc.dedupe.offers,
             dedupe_duplicates: self.drive_acc.dedupe.duplicates,
             dedupe_iso_checks: self.drive_acc.dedupe.iso_checks,
@@ -540,7 +494,7 @@ impl<'a> Chase<'a> {
             sat_l2: self.shared.sat.stats.snapshot(),
             ..ChaseStats::default()
         };
-        self.visit_ctxs(&mut |c| {
+        for c in &self.ctxs {
             s.subsumed_subtrees += c.subsumed;
             s.solver_l1_hits += c.solver_cache.stats.hits;
             s.solver_l1_misses += c.solver_cache.stats.misses;
@@ -548,7 +502,7 @@ impl<'a> Chase<'a> {
             s.sat_l1_misses += c.sat_l1_misses;
             s.incr_extends += c.incr_extends as u64;
             s.incr_fallbacks += c.incr_fallbacks as u64;
-        });
+        }
         s
     }
 
@@ -560,7 +514,6 @@ impl<'a> Chase<'a> {
 
     fn absorb_drive(&mut self, st: DriveStats) {
         self.drive_acc.waves += st.waves;
-        self.drive_acc.spilled_waves += st.spilled_waves;
         self.drive_acc.dedupe.offers += st.dedupe.offers;
         self.drive_acc.dedupe.duplicates += st.dedupe.duplicates;
         self.drive_acc.dedupe.iso_checks += st.dedupe.iso_checks;
@@ -583,17 +536,16 @@ impl<'a> Chase<'a> {
     }
 
     /// Runs Algorithm 1 on `formula` from `seed`/`seed_h` as the top level,
-    /// logging accepted instances. A single root drives the frontier
-    /// scheduler directly (wave-parallel when `threads > 1`).
+    /// logging accepted instances. The root is driven sequentially on the
+    /// first worker context at every thread count.
     pub fn run_root(&mut self, formula: &Formula, seed: CInstance, seed_h: Hom) {
         self.run_root_observed(formula, seed, seed_h, &mut |_, _, _| true);
     }
 
     /// [`Chase::run_root`] with an acceptance observer: `observer` is
     /// called with every instance (and its acceptance timestamp) the moment
-    /// it enters the log — per item sequentially, per wave under the
-    /// wave-parallel scheduler — in the same deterministic order as the
-    /// final `accepted` log. Returning `false` halts the drive (the
+    /// it enters the log, in the same deterministic order as the final
+    /// `accepted` log. Returning `false` halts the drive (the
     /// streaming API's consumer-gone/cancel path).
     pub fn run_root_observed(
         &mut self,
@@ -615,11 +567,6 @@ impl<'a> Chase<'a> {
         }
         let _root_span = trace::span("root_job", "chase");
         let (i0, h0) = bind_free_vars(self.query, formula, seed, seed_h);
-        let exec = match self.pool.as_deref() {
-            Some(p) if self.threads > 1 => Exec::resident(p),
-            _ => Exec::scoped(),
-        }
-        .with_counters(&self.run_counters);
         let task = RootTask {
             query: self.query,
             cfg: self.cfg,
@@ -629,7 +576,6 @@ impl<'a> Chase<'a> {
             formula,
             h0: &h0,
             query_key: self.query_key,
-            exec,
             subsume: SubsumePrune::for_seed(self.cfg, &i0),
             pruned: AtomicU64::new(0),
         };
@@ -654,17 +600,7 @@ impl<'a> Chase<'a> {
                 true
             }
         };
-        let drive_stats = if self.threads <= 1 {
-            SequentialScheduler.drive(exec, &task, &mut self.ctxs, vec![i0], &mut sink)
-        } else {
-            ParallelScheduler::new(self.cfg.parallel_min_frontier).drive(
-                exec,
-                &task,
-                &mut self.ctxs,
-                vec![i0],
-                &mut sink,
-            )
-        };
+        let drive_stats = drive(&task, &mut self.ctxs[0], vec![i0], &mut sink);
         let pruned = task.pruned.load(Ordering::SeqCst);
         self.absorb_drive(drive_stats);
         self.subsumed += pruned;
@@ -720,7 +656,7 @@ impl<'a> Chase<'a> {
         let query_key = self.query_key;
         let exec = match self.pool.as_deref() {
             Some(p) => Exec::resident(p),
-            None => Exec::scoped(),
+            None => Exec::default(),
         }
         .with_counters(&self.run_counters);
         let _fanout_span = trace::span("root_job_fanout", "chase");
@@ -750,7 +686,6 @@ impl<'a> Chase<'a> {
                     formula: job.formula,
                     h0: &h0,
                     query_key,
-                    exec,
                     subsume: SubsumePrune::for_seed(cfg, &i0),
                     pruned: AtomicU64::new(0),
                 };
@@ -762,13 +697,7 @@ impl<'a> Chase<'a> {
                     // No single job ever needs more than the global cap.
                     max.is_none_or(|m| acc.len() < m)
                 };
-                let st = SequentialScheduler.drive(
-                    exec,
-                    &task,
-                    std::slice::from_mut(ctx),
-                    vec![i0],
-                    &mut sink,
-                );
+                let st = drive(&task, ctx, vec![i0], &mut sink);
                 let pruned = task.pruned.load(Ordering::SeqCst);
                 (acc, st, pruned)
             });
@@ -777,7 +706,7 @@ impl<'a> Chase<'a> {
         // in job order; timestamps are wall-clock and may interleave across
         // jobs, as they legitimately do.) The observer fires here, at the
         // merge point — job-level fan-out is a batch barrier, unlike the
-        // per-wave flushing of the wave-parallel scheduler.
+        // per-item flushing of a single root's drive.
         'merge: for (acc, st, pruned) in per_job {
             self.absorb_drive(st);
             self.subsumed += pruned;
@@ -832,8 +761,6 @@ struct RootTask<'t> {
     formula: &'t Formula,
     h0: &'t Hom,
     query_key: u64,
-    /// Thread source for nested-BFS fan-out inside [`Engine`].
-    exec: Exec<'t>,
     /// Subsumption-prune state (`None` when `cfg.subsume_prune` is off).
     subsume: Option<SubsumePrune>,
     /// Subtrees pruned this drive; read back by [`Chase`] afterwards.
@@ -846,8 +773,7 @@ struct RootTask<'t> {
 struct SubsumePrune {
     /// Accepted instances with their leaf coverage, staged in sink order
     /// and published at wave boundaries — so a prune decision only ever
-    /// sees accepts from strictly earlier BFS generations, identically
-    /// under the sequential and parallel drivers.
+    /// sees accepts from strictly earlier BFS generations.
     visible: WaveVisible<(CInstance, Coverage)>,
     /// Number of seed nulls (the bound free variables). They denote the
     /// same entities in every instance of this root, so an embedding must
@@ -911,7 +837,6 @@ impl FrontierTask for RootTask<'_> {
             deadline: self.deadline,
             cancel: self.cancel,
             query_key: self.query_key,
-            exec: self.exec,
             ctx,
         };
         // Subsumption cut (checked before the accept test): when a visible,
@@ -1040,9 +965,6 @@ struct Engine<'e> {
     deadline: Option<Instant>,
     cancel: Option<&'e CancelToken>,
     query_key: u64,
-    /// Thread source for nested-BFS wave fan-out (resident pools only —
-    /// scoped handles report width 1 and keep the recursion sequential).
-    exec: Exec<'e>,
     ctx: &'e mut WorkerCtx,
 }
 
@@ -1327,18 +1249,15 @@ impl Engine<'_> {
         res
     }
 
-    /// `Tree-Chase-BFS` body, restructured into FIFO waves. Sequentially
-    /// the loop pops one instance, admits it (size bound + visited
-    /// isomorphism check), then either accepts it or expands it. The wave
-    /// form does the same work level by level: admission stays sequential
-    /// (each admitted instance joins `visited` before the next is checked
-    /// — exactly the pop order), and the per-instance accept/expand step
-    /// ([`bfs_step`](Self::bfs_step)) runs over the whole wave at once.
-    /// Since an instance's step never reads `visited` or its siblings, the
-    /// steps are independent and [`expand_wave`](Self::expand_wave) may
-    /// fan them out across the resident pool; the FIFO merge afterwards
-    /// restores the order the sequential loop would have produced
-    /// (children of `wave[i]` precede children of `wave[i+1]`).
+    /// `Tree-Chase-BFS` body, walked in FIFO waves. The plain loop pops one
+    /// instance, admits it (size bound + visited isomorphism check), then
+    /// either accepts it or expands it. The wave form does the same work
+    /// level by level: each admitted instance joins `visited` before the
+    /// next is checked — exactly the pop order — and then every admitted
+    /// instance takes its accept/expand step ([`bfs_step`](Self::bfs_step))
+    /// in order. A step never reads `visited` or its siblings, so the
+    /// order of results and children is the plain loop's (children of
+    /// `wave[i]` precede children of `wave[i+1]`).
     fn bfs_inner(&mut self, q: &Formula, h0: &Hom, i0: &CInstance) -> Vec<CInstance> {
         let (i0, h0) = bind_free_vars(self.query, q, i0.clone(), h0.clone());
         // Seed nulls are shared by every result of this search, so a
@@ -1375,10 +1294,11 @@ impl Engine<'_> {
                 }
             }
             wave_width_metric().observe(wave.len() as u64);
-            let steps = self.expand_wave(q, &h0, &wave);
-            // `steps` may be shorter than `wave` if the run stopped
-            // mid-wave; zip drops the tail, matching the sequential break.
-            for (inst, (accepted, children)) in wave.into_iter().zip(steps) {
+            for inst in wave {
+                if self.stopped() {
+                    break;
+                }
+                let (accepted, children) = self.bfs_step(q, &h0, &inst);
                 if accepted {
                     // Subsumption cut: a result into which an earlier-kept
                     // result embeds (seed nulls fixed, same leaf coverage)
@@ -1386,8 +1306,7 @@ impl Engine<'_> {
                     // caller would have seeded from it (the right-hand
                     // searches of `handle_conjunction`, recursively) dies
                     // with it. This is per-search-local FIFO state, so the
-                    // kept list is a pure function of the search inputs —
-                    // identical under sequential and wave-parallel drives.
+                    // kept list is a pure function of the search inputs.
                     if self.cfg.subsume_prune {
                         let cov = coverage_of_cinstance_keys(
                             self.query,
@@ -1412,7 +1331,7 @@ impl Engine<'_> {
     /// One step of Algorithm 1 for an already-admitted instance: accept it
     /// (Tree-SAT ∧ IsConsistent) or expand it and pre-filter the children.
     /// Pure with respect to the BFS bookkeeping — it reads neither
-    /// `visited` nor any sibling — so waves of steps can run concurrently.
+    /// `visited` nor any sibling.
     fn bfs_step(&mut self, q: &Formula, h0: &Hom, inst: &CInstance) -> (bool, Vec<CInstance>) {
         // Line 13: Tree-SAT under the *current* homomorphism (recursive
         // calls must verify satisfaction at the handler's chosen
@@ -1435,66 +1354,6 @@ impl Engine<'_> {
             }
         }
         (false, children)
-    }
-
-    /// Runs [`bfs_step`](Self::bfs_step) over an admitted wave. Narrow
-    /// waves (or scoped execution, whose [`Exec::width`] is 1) stay on the
-    /// sequential path; wide waves under a resident pool are re-submitted
-    /// to the pool as a nested batch, each step running on a scratch
-    /// [`WorkerCtx`] that shares the same L2 memos. Scratch contexts are
-    /// kept warm across waves inside `self.ctx.scratch`.
-    fn expand_wave(
-        &mut self,
-        q: &Formula,
-        h0: &Hom,
-        wave: &[CInstance],
-    ) -> Vec<(bool, Vec<CInstance>)> {
-        let width = self.exec.width().min(wave.len());
-        if width <= 1 || wave.len() < self.cfg.nested_min_wave.max(2) {
-            let mut steps = Vec::with_capacity(wave.len());
-            for inst in wave {
-                if self.stopped() {
-                    break;
-                }
-                steps.push(self.bfs_step(q, h0, inst));
-            }
-            return steps;
-        }
-        let _fanout_span = trace::span("nested_wave_fanout", "chase");
-        let mut scratch = std::mem::take(&mut self.ctx.scratch);
-        while scratch.len() < width {
-            let mut fresh = WorkerCtx::new(Arc::clone(&self.ctx.shared));
-            fresh.share_l2 = self.ctx.share_l2;
-            scratch.push(fresh);
-        }
-        let (query, cfg, universal_fresh, deadline, cancel, query_key, exec) = (
-            self.query,
-            self.cfg,
-            self.universal_fresh,
-            self.deadline,
-            self.cancel,
-            self.query_key,
-            self.exec,
-        );
-        let steps = exec.run(&mut scratch[..width], wave, |ctx, _, inst| {
-            let mut engine = Engine {
-                query,
-                cfg,
-                universal_fresh,
-                deadline,
-                cancel,
-                query_key,
-                exec,
-                ctx,
-            };
-            engine.bfs_step(q, h0, inst)
-        });
-        for s in &scratch {
-            self.ctx.timed_out |= s.timed_out;
-            self.ctx.cancelled |= s.cancelled;
-        }
-        self.ctx.scratch = scratch;
-        steps
     }
 
     /// `Tree-Chase` (Algorithm 2): dispatch on the root operator.
@@ -1945,7 +1804,6 @@ mod tests {
             deadline: None,
             cancel: None,
             query_key: 0,
-            exec: Exec::scoped(),
             ctx: &mut a,
         };
         engine.memoize_state(42, st);
@@ -1956,29 +1814,43 @@ mod tests {
         assert_eq!(shared.sat.stats.snapshot().hits, 1);
     }
 
-    #[test]
-    fn resident_run_reports_waves_batches_and_l2_traffic() {
+    /// A disjunctive query: its `Conj-*` trees are three root jobs.
+    const DISJ: &str = "{ (x1) | exists b1, p1 (Serves(x1, b1, p1) and (p1 > 3.0 or p1 < 1.0)) }";
+
+    /// Chases the `Conj-*` trees of `src` as one batch of root jobs, over a
+    /// resident pool sized for `cfg` as a session would spawn it; returns
+    /// the caches so a follow-up run can reuse them.
+    fn roots_run(src: &str, cfg: &ChaseConfig) -> (Vec<CInstance>, ChaseStats, ChaseCaches) {
         let s = schema();
-        let q = parse_query(
-            &s,
-            "{ (x1, b1) | exists p1, x2, p2 . Serves(x1, b1, p1) and Serves(x2, b1, p2) and p1 > p2 }",
-        )
-        .unwrap();
-        let cfg = ChaseConfig::with_limit(7)
-            .threads(3)
-            .parallel_min_frontier(0)
-            .nested_min_wave(2);
+        let q = parse_query(&s, src).unwrap();
+        let trees = crate::conjtree::conjunctive_trees(&q.formula);
+        assert!(trees.len() > 1, "{src}: want several root jobs");
         let mut caches = ChaseCaches::new();
         caches.ensure_pool(cfg.resolved_threads());
-        let mut chase = Chase::new_reusing(&q, &cfg, true, &mut caches);
-        chase.run_root(
-            &q.formula.clone(),
-            CInstance::new(Arc::clone(&s)),
-            vec![None; q.vars.len()],
+        let mut chase = Chase::new_reusing(&q, cfg, true, &mut caches);
+        chase.run_roots(
+            trees
+                .iter()
+                .map(|formula| RootJob {
+                    formula,
+                    seed: CInstance::new(Arc::clone(&s)),
+                    h: vec![None; q.vars.len()],
+                })
+                .collect(),
         );
-        assert!(!chase.accepted.is_empty());
         let stats = chase.stats();
-        assert!(stats.waves > 0, "parallel drive must report waves");
+        let accepted = std::mem::take(&mut chase.accepted);
+        chase.recycle_into(&mut caches);
+        (accepted.into_iter().map(|(i, ..)| i).collect(), stats, caches)
+    }
+
+    #[test]
+    fn resident_run_reports_waves_batches_and_l2_traffic() {
+        let cfg = ChaseConfig::with_limit(7).threads(3);
+        let (accepted, stats, mut caches) = roots_run(DISJ, &cfg);
+        assert!(!accepted.is_empty());
+        assert!(stats.waves > 0, "every root drive reports its waves");
+        assert_eq!(stats.spilled_waves, stats.waves, "every wave runs inline");
         assert!(
             stats.resident_batches > 0,
             "multi-thread session runs must fan out through the resident pool"
@@ -1990,31 +1862,37 @@ mod tests {
         assert!(stats.dedupe_offers > 0);
         // Per-run baselining: a fresh chase over the warm session caches
         // starts from zero, not from the session cumulative.
-        chase.recycle_into(&mut caches);
+        let s = schema();
+        let q = parse_query(&s, DISJ).unwrap();
         let chase2 = Chase::new_reusing(&q, &cfg, true, &mut caches);
         let st2 = chase2.stats();
         assert_eq!(st2.solver_l1_hits + st2.solver_l1_misses, 0);
         assert_eq!(st2.solver_l2.inserts, 0);
         assert_eq!(st2.sat_l2.inserts, 0);
         assert_eq!(st2.waves, 0);
+        // A 1-thread single-root run counts its waves too.
+        let (_, st1) = stats_run(DISJ, &ChaseConfig::with_limit(7));
+        assert!(st1.waves > 0, "1-thread runs must report waves");
+        assert_eq!(st1.spilled_waves, st1.waves);
+        assert_eq!(st1.resident_batches, 0);
     }
 
     #[test]
     fn parallel_root_matches_sequential_accepted_sequence() {
         // The strongest determinism statement: the *ordered* accepted
-        // stream is identical, instance by instance, rendered bytes and
-        // all.
+        // stream of a root-job batch fanned out over 4 threads is
+        // identical, instance by instance, rendered bytes and all, to the
+        // 1-thread run.
         let queries = [
-            "{ (b1) | exists d1 (Likes(d1, b1)) }",
-            "{ (x1, b1) | exists p1, x2, p2 . Serves(x1, b1, p1) and Serves(x2, b1, p2) and p1 > p2 }",
-            "{ (x1) | exists b1, p1 (Serves(x1, b1, p1) and (p1 > 3.0 or p1 < 1.0)) }",
+            DISJ,
+            FORALL_DISJ,
+            "{ (x1, b1) | exists p1 . Serves(x1, b1, p1) \
+             and forall p2, x2 (not Serves(x2, b1, p2) or p2 <= p1) }",
         ];
         for src in queries {
-            let seq = run_with(src, &ChaseConfig::with_limit(6));
-            let par = run_with(
-                src,
-                &ChaseConfig::with_limit(6).threads(4).parallel_min_frontier(2),
-            );
+            let (seq, ..) = roots_run(src, &ChaseConfig::with_limit(6));
+            let (par, ..) = roots_run(src, &ChaseConfig::with_limit(6).threads(4));
+            assert!(!seq.is_empty(), "{src}");
             assert_eq!(seq.len(), par.len(), "{src}");
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(format!("{a}"), format!("{b}"), "{src}");
@@ -2071,16 +1949,13 @@ mod tests {
 
     #[test]
     fn subsume_prune_keeps_parallel_stream_byte_identical() {
-        // Determinism under pruning: the filter consults only
-        // boundary-published accepts, so the 4-thread accepted stream (and
-        // the prune count) match the sequential run exactly.
+        // Determinism under pruning: prune state is per root, so fanning
+        // the roots out over 4 threads leaves the accepted stream (and the
+        // prune count) exactly as in the sequential run.
         let cfg1 = ChaseConfig::with_limit(10).subsume_prune(true);
-        let cfg4 = ChaseConfig::with_limit(10)
-            .subsume_prune(true)
-            .threads(4)
-            .parallel_min_frontier(2);
-        let (seq, s1) = stats_run(FORALL_DISJ, &cfg1);
-        let (par, s4) = stats_run(FORALL_DISJ, &cfg4);
+        let cfg4 = ChaseConfig::with_limit(10).subsume_prune(true).threads(4);
+        let (seq, s1, _) = roots_run(FORALL_DISJ, &cfg1);
+        let (par, s4, _) = roots_run(FORALL_DISJ, &cfg4);
         assert!(s1.subsumed_subtrees > 0);
         assert_eq!(s1.subsumed_subtrees, s4.subsumed_subtrees);
         assert_eq!(seq.len(), par.len());

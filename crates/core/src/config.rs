@@ -129,23 +129,15 @@ pub struct ChaseConfig {
     /// parent conjunction is sizable, while tiny problems solve faster
     /// than the state bookkeeping costs.
     pub incremental_min_lits: usize,
-    /// Thread budget for frontier expansion (`cqi-runtime`): `1` (the
-    /// default) runs the legacy sequential search, `0` uses all available
-    /// parallelism, `n > 1` uses exactly `n` workers. Parallel runs accept
-    /// the same instances in the same order as sequential ones — the
-    /// scheduler's determinism guarantee — so this is purely a wall-clock
-    /// knob.
+    /// Thread budget for root-job fan-out (`cqi-runtime`): `1` (the
+    /// default) runs every root search in turn on the calling thread, `0`
+    /// uses all available parallelism, `n > 1` runs the independent root
+    /// searches of one variant (its conjunctive trees, then its `*-Add`
+    /// re-seeds) on up to `n` workers of a resident pool. Each root is
+    /// still driven sequentially, and results merge in job order, so
+    /// parallel runs accept the same instances in the same order as
+    /// sequential ones — this is purely a wall-clock knob.
     pub threads: usize,
-    /// Frontier waves narrower than this spill to inline single-context
-    /// processing instead of fanning out (thread/dedupe overhead only pays
-    /// for itself on wide frontiers). Only consulted when `threads != 1`.
-    pub parallel_min_frontier: usize,
-    /// Minimum width of a *nested* BFS wave (the recursive sub-formula
-    /// search inside one worker) before it is re-submitted to the resident
-    /// pool as its own batch. Narrower waves stay sequential — the
-    /// hand-off only pays for itself on wide recursive frontiers. Only
-    /// consulted when a resident pool is attached (`threads > 1`).
-    pub nested_min_wave: usize,
     /// Cooperative cancellation: when the token fires, the run stops at the
     /// next per-step poll (the same loop that checks `timeout`) and returns
     /// the instances accepted so far. `None` (the default) costs nothing on
@@ -186,8 +178,6 @@ impl ChaseConfig {
             incremental: true,
             incremental_min_lits: 6,
             threads: 1,
-            parallel_min_frontier: 4,
-            nested_min_wave: 8,
             cancel: None,
             subsume_prune: false,
             trace: false,
@@ -226,16 +216,6 @@ impl ChaseConfig {
 
     pub fn threads(mut self, n: usize) -> ChaseConfig {
         self.threads = n;
-        self
-    }
-
-    pub fn parallel_min_frontier(mut self, n: usize) -> ChaseConfig {
-        self.parallel_min_frontier = n;
-        self
-    }
-
-    pub fn nested_min_wave(mut self, n: usize) -> ChaseConfig {
-        self.nested_min_wave = n;
         self
     }
 
@@ -315,10 +295,7 @@ mod tests {
         let c = ChaseConfig::with_limit(6);
         assert_eq!(c.threads, 1, "sequential by default");
         assert_eq!(c.resolved_threads(), 1);
-        let par = c.threads(3).parallel_min_frontier(9).nested_min_wave(5);
-        assert_eq!(par.resolved_threads(), 3);
-        assert_eq!(par.parallel_min_frontier, 9);
-        assert_eq!(par.nested_min_wave, 5);
+        assert_eq!(c.threads(3).resolved_threads(), 3);
         // 0 = all available parallelism (at least one worker anywhere).
         assert!(ChaseConfig::with_limit(6).threads(0).resolved_threads() >= 1);
     }

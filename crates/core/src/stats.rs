@@ -33,7 +33,7 @@ macro_rules! chase_stats {
         $(, json $key:literal)?
         $(, series($name:literal, $help:expr, [$($lk:ident = $lv:expr),*]) $(.$part:ident)?)*;
     )*) => {
-        /// Execution counters of one chase run: scheduler waves,
+        /// Execution counters of one chase run: frontier waves,
         /// work-stealing traffic, the hit/miss split of each memo tier, and
         /// dedupe volume. Attached to every [`crate::CSolution`]; all
         /// counters are deltas over the run (session-persistent caches are
@@ -90,19 +90,20 @@ const DIGESTS: &str = "exact-digest requests by outcome";
 const PHASE_NS: &str = "traced time per phase (ns)";
 
 chase_stats! {
-    /// Frontier waves driven by the wave-parallel scheduler (0 under the
-    /// sequential driver).
+    /// Top-level BFS generations driven, summed over root searches, at
+    /// every thread count.
     waves: u64 = run, json "waves",
         series("cqi_chase_waves_total", "frontier waves driven", []);
-    /// Waves below the spill threshold, processed inline.
+    /// Waves processed inline on one worker context — every wave, since
+    /// parallelism fans out whole root searches, never a single wave; kept
+    /// equal to `waves` so `spilled_waves / waves` still reads as the
+    /// inline share.
     spilled_waves: u64 = run, json "spilled_waves";
     /// Work-stealing queue steals across all fan-outs.
     steals: u64 = run, json "steals",
         series("cqi_chase_steals_total", "work-stealing queue steals", []);
-    /// Fan-out batches dispatched to the resident pool.
+    /// Root-job fan-out batches dispatched to the resident pool.
     resident_batches: u64 = run, json "resident_batches";
-    /// Fan-out batches run on per-call scoped threads.
-    scoped_batches: u64 = run, json "scoped_batches";
     /// Duplicate-detection offers across all drives.
     dedupe_offers: u64 = run, json "dedupe_offers",
         series("cqi_dedupe_offers_total", "iso-dedupe offers", []);
@@ -163,7 +164,7 @@ chase_stats! {
     /// Time in isomorphism dedupe (offers/confirms + nested admission).
     phase_dedupe_ns: u64 = global, json "phases.dedupe_ns",
         series("cqi_phase_ns_total", PHASE_NS, [phase = Phase::Dedupe.name()]);
-    /// Time in scheduling (wave assembly/merge, batch collection).
+    /// Time in scheduling (root-job batch collection).
     phase_sched_ns: u64 = global, json "phases.scheduling_ns",
         series("cqi_phase_ns_total", PHASE_NS, [phase = Phase::Sched.name()]);
 }
@@ -267,14 +268,13 @@ impl std::fmt::Display for ChaseStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "waves={}({} spilled) steals={} batches={}r/{}s \
+            "waves={}({} spilled) steals={} batches={} \
              dedupe={}/{}dup/{}iso solverL1={:.0}%({}) L2={:.0}%({}) \
              satL1={:.0}%({}) incr={}+{}fb subsumed={} digest={:.0}%({})",
             self.waves,
             self.spilled_waves,
             self.steals,
             self.resident_batches,
-            self.scoped_batches,
             self.dedupe_offers,
             self.dedupe_duplicates,
             self.dedupe_iso_checks,

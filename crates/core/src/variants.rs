@@ -33,8 +33,7 @@ pub fn run_variant(tree: &SyntaxTree, variant: Variant, cfg: &ChaseConfig) -> CS
 /// variant, calling `observer` with every accepted instance — already
 /// validated against the *original* tree and annotated with coverage — in
 /// the deterministic accepted order, as the drive produces it (per step
-/// sequentially, per wave under the wave-parallel scheduler, per job batch
-/// under root fan-out). `observer` returning `false` halts the drive; the
+/// within one root, per job batch under root fan-out). `observer` returning `false` halts the drive; the
 /// instances streamed so far still make up the returned solution, flagged
 /// [`Interrupted::Cancelled`].
 pub fn run_variant_observed(
@@ -103,8 +102,8 @@ fn run_variant_inner(
     }
     let explain_span = cqi_obs::trace::span("explain", "request");
     // Multi-thread budgets get a resident pool spawned once per cache
-    // lifetime (i.e. once per `Session`) and reused across runs; one-shot
-    // and sequential runs keep the spawn-free scoped path.
+    // lifetime (i.e. once per `Session`) and reused across runs;
+    // sequential runs spawn nothing.
     caches.ensure_pool(cfg.resolved_threads());
     let mut chase = Chase::new_reusing(q, cfg, universal_fresh, caches);
 
@@ -179,9 +178,8 @@ fn run_variant_inner(
 /// Both phases of one variant run — the per-tree roots and the `*-Add`
 /// re-seeds — as batches of independent root searches routed through
 /// [`Chase::run_roots_observed`]: with `cfg.threads != 1` whole roots fan
-/// out across workers, and each root's own frontier is driven by the
-/// `cqi-runtime` scheduler — sequentially or wave-parallel — with
-/// identical output either way.
+/// out across workers, each root's own frontier is driven sequentially,
+/// and the output is identical either way.
 fn drive_phases(
     chase: &mut Chase<'_>,
     tree: &SyntaxTree,

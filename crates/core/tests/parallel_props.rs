@@ -1,13 +1,14 @@
 //! Property tests for the parallel chase runtime: for random queries,
-//! variants, limits, thread budgets, and spill thresholds, the parallel
-//! scheduler must produce *identical* results to the sequential one —
-//! the same accepted-instance stream (rendered bytes and all) and the same
-//! minimal c-solution.
+//! variants, limits, and thread budgets, fanning root jobs out over a
+//! resident pool must produce *identical* results to running them one by
+//! one — the same accepted-instance stream (rendered bytes and all) and
+//! the same minimal c-solution.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cqi_core::chase::{Chase, ChaseCaches};
+use cqi_core::chase::{Chase, ChaseCaches, RootJob};
+use cqi_core::conjtree::conjunctive_trees;
 use cqi_core::{run_variant, ChaseConfig, Variant};
 use cqi_drc::{parse_query, SyntaxTree};
 use cqi_instance::CInstance;
@@ -64,15 +65,54 @@ fn pick<T: Copy>(xs: &[T], i: u64) -> T {
     xs[(i as usize) % xs.len()]
 }
 
+/// Chases `src` as a batch of root jobs — its `Conj-*` trees followed by
+/// the query itself (the `Disj-*` root), so every query yields at least two
+/// jobs — through [`Chase::run_roots`] over a resident pool sized for
+/// `cfg`, as a session would spawn it. Returns the rendered accepted
+/// stream and the run's resident-pool batch count.
+fn roots_stream(src: &str, cfg: &ChaseConfig) -> (Vec<String>, u64) {
+    let s = schema();
+    let q = parse_query(&s, src).unwrap();
+    let mut formulas = conjunctive_trees(&q.formula);
+    formulas.push(q.formula.clone());
+    let mut caches = ChaseCaches::new();
+    caches.ensure_pool(cfg.resolved_threads());
+    let mut chase = Chase::new_reusing(&q, cfg, true, &mut caches);
+    chase.run_roots(
+        formulas
+            .iter()
+            .map(|formula| RootJob {
+                formula,
+                seed: CInstance::new(Arc::clone(&s)),
+                h: vec![None; q.vars.len()],
+            })
+            .collect(),
+    );
+    let stream = chase.accepted.iter().map(|(i, ..)| format!("{i}")).collect();
+    (stream, chase.stats().resident_batches)
+}
+
+/// Multi-root runs at `threads > 1` really fan out: the job batch is
+/// dispatched to the resident pool (a 1-thread run never touches it).
+#[test]
+fn multi_root_runs_dispatch_to_the_resident_pool() {
+    let src = QUERIES[2];
+    let (seq, seq_batches) = roots_stream(src, &ChaseConfig::with_limit(5));
+    let (par, par_batches) = roots_stream(src, &ChaseConfig::with_limit(5).threads(2));
+    assert_eq!(seq_batches, 0);
+    assert!(par_batches > 0, "root jobs must fan out through the resident pool");
+    assert_eq!(seq, par);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// `run_variant` with a parallel config returns the same c-solution as
     /// the sequential default, across variants, limits, key enforcement,
-    /// thread budgets, and spill thresholds. Multi-thread runs go through
-    /// the session path, which spawns a resident pool and shares the L2
-    /// memo tier between workers — so this property also pins the tiered
-    /// memo and nested-wave re-submission to the sequential baseline.
+    /// and thread budgets. Multi-thread runs go through the session path,
+    /// which spawns a resident pool and shares the L2 memo tier between
+    /// workers — so this property also pins the tiered memo to the
+    /// sequential baseline.
     #[test]
     fn parallel_run_variant_matches_sequential(
         qi in any::<u64>(),
@@ -80,8 +120,6 @@ proptest! {
         li in any::<u64>(),
         keys in any::<bool>(),
         ti in any::<u64>(),
-        mi in any::<u64>(),
-        ni in any::<u64>(),
         prune in any::<bool>(),
     ) {
         let s = schema();
@@ -89,8 +127,6 @@ proptest! {
         let variant = pick(&Variant::ALL, vi);
         let limit = 4 + (li as usize) % 4; // 4..=7
         let threads = pick(&[0usize, 2, 3, 4], ti);
-        let min_frontier = pick(&[0usize, 1, 2, 4, 64], mi);
-        let nested = pick(&[0usize, 2, 4, 64], ni);
         let tree = SyntaxTree::new(parse_query(&s, src).unwrap());
         let seq_cfg = ChaseConfig::with_limit(limit)
             .enforce_keys(keys)
@@ -98,16 +134,14 @@ proptest! {
         let par_cfg = ChaseConfig::with_limit(limit)
             .enforce_keys(keys)
             .subsume_prune(prune)
-            .threads(threads)
-            .parallel_min_frontier(min_frontier)
-            .nested_min_wave(nested);
+            .threads(threads);
         let seq = run_variant(&tree, variant, &seq_cfg);
         let par = run_variant(&tree, variant, &par_cfg);
         prop_assert_eq!(
             render(&seq),
             render(&par),
-            "{} {} limit={} keys={} threads={} min_frontier={} nested={} prune={}",
-            src, variant, limit, keys, threads, min_frontier, nested, prune
+            "{} {} limit={} keys={} threads={} prune={}",
+            src, variant, limit, keys, threads, prune
         );
     }
 
@@ -148,59 +182,39 @@ proptest! {
         );
     }
 
-    /// The raw accepted stream of a single chase root is byte-identical
-    /// between schedulers, instance by instance, in order — the strongest
-    /// form of the determinism guarantee. The parallel run drives a
-    /// *resident* pool (spawned through [`ChaseCaches::ensure_pool`], as a
-    /// session would) so worker hand-off, shared-L2 memo traffic, and
-    /// nested-wave re-submission are all on the tested path.
+    /// The raw accepted stream of a batch of root jobs is byte-identical
+    /// between a 1-thread run and a fan-out over a *resident* pool
+    /// (spawned through [`ChaseCaches::ensure_pool`], as a session would),
+    /// instance by instance, in order, under the same `max_results` cap —
+    /// the strongest form of the determinism guarantee. Worker hand-off,
+    /// shared-L2 memo traffic, and the job-order merge are all on the
+    /// tested path.
     #[test]
     fn parallel_accepted_stream_is_byte_identical(
         qi in any::<u64>(),
         li in any::<u64>(),
         ti in any::<u64>(),
-        mi in any::<u64>(),
-        ni in any::<u64>(),
         cap in any::<u64>(),
         prune in any::<bool>(),
     ) {
-        let s = schema();
         let src = QUERIES[(qi as usize) % QUERIES.len()];
-        let q = parse_query(&s, src).unwrap();
         let limit = 4 + (li as usize) % 3; // 4..=6
         let threads = pick(&[2usize, 4], ti);
-        let min_frontier = pick(&[0usize, 2, 16], mi);
-        let nested = pick(&[0usize, 2, 16], ni);
         let max_results = match cap % 4 {
             0 => Some(1),
             1 => Some(3),
             _ => None,
         };
-        let run = |cfg: &ChaseConfig| -> Vec<String> {
-            let mut caches = ChaseCaches::new();
-            caches.ensure_pool(cfg.resolved_threads());
-            let mut chase = Chase::new_reusing(&q, cfg, true, &mut caches);
-            chase.run_root(
-                &q.formula.clone(),
-                CInstance::new(Arc::clone(&s)),
-                vec![None; q.vars.len()],
-            );
-            chase.accepted.iter().map(|(i, ..)| format!("{i}")).collect()
-        };
         let mut seq_cfg = ChaseConfig::with_limit(limit).subsume_prune(prune);
         seq_cfg.max_results = max_results;
-        let mut par_cfg = ChaseConfig::with_limit(limit)
-            .subsume_prune(prune)
-            .threads(threads)
-            .parallel_min_frontier(min_frontier)
-            .nested_min_wave(nested);
+        let mut par_cfg = seq_cfg.clone().threads(threads);
         par_cfg.max_results = max_results;
-        let seq = run(&seq_cfg);
-        let par = run(&par_cfg);
+        let seq = roots_stream(src, &seq_cfg).0;
+        let par = roots_stream(src, &par_cfg).0;
         prop_assert_eq!(
             seq, par,
-            "{} limit={} threads={} min_frontier={} nested={} cap={:?} prune={}",
-            src, limit, threads, min_frontier, nested, max_results, prune
+            "{} limit={} threads={} cap={:?} prune={}",
+            src, limit, threads, max_results, prune
         );
     }
 }

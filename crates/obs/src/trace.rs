@@ -51,7 +51,7 @@ pub enum Phase {
     Canon,
     /// Isomorphism dedupe: offers, confirms.
     Dedupe,
-    /// Scheduling: wave assembly/merge, batch collection.
+    /// Scheduling: fan-out batch collection.
     Sched,
 }
 

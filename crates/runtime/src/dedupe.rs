@@ -22,7 +22,7 @@
 //!
 //! Entry seqs only ever decrease, so `Duplicate` verdicts can never be
 //! invalidated and the surviving representative of every class is exactly
-//! the candidate the sequential scheduler would have kept — regardless of
+//! the candidate a sequential FIFO walk would have kept — regardless of
 //! interleaving.
 
 use std::collections::HashMap;

@@ -1,36 +1,28 @@
 //! # cqi-runtime
 //!
-//! Execution substrate for the chase: a work-stealing thread pool
-//! (std-only, no external deps) usable either as per-call scoped threads
-//! or as a long-lived [`ResidentPool`], a sharded concurrent
-//! duplicate-detection set keyed on isomorphism invariants, a lock-striped
-//! shared memo ([`StripedMemo`]) for cross-worker solver-result sharing,
-//! and a [`FrontierScheduler`] that drives breadth-first frontier
-//! expansion either sequentially or in parallel — with **byte-identical
-//! results** either way. An [`Exec`] handle picks the thread source
-//! (scoped vs resident) without changing any drain or merge logic.
+//! Execution substrate for the chase: a work-stealing [`ResidentPool`]
+//! (std-only, no external deps) behind an [`Exec`] handle, a sharded
+//! concurrent duplicate-detection set keyed on isomorphism invariants, a
+//! lock-striped shared memo ([`StripedMemo`]) for cross-worker
+//! solver-result sharing, and the sequential frontier [`drive`]r of
+//! Algorithm 1.
 //!
 //! ## Determinism model
 //!
-//! Algorithm 1 of the paper explores a frontier of independent c-instance
-//! branch candidates. Expanding a candidate is a pure function of the
-//! candidate (memo state only affects speed), so candidates can be expanded
-//! concurrently as long as
-//!
-//! 1. **duplicate detection is order-stable** — when several candidates of
-//!    one isomorphism class race, the one that the *sequential* scheduler
-//!    would have kept (the earliest in FIFO order) must win, and
-//! 2. **results are collected in FIFO order** — accepted instances and
-//!    newly produced children are merged back in the order the sequential
-//!    scheduler would have produced them.
-//!
-//! The [`ShardedDedupe`] set solves (1) with a sequence-priority protocol
-//! ([`ShardedDedupe::offer`] / [`ShardedDedupe::confirm`]); the
-//! [`ParallelScheduler`] solves (2) by processing the frontier in FIFO
-//! waves and tagging every expansion with its frontier position before
-//! merging. See the crate-level tests plus `cqi-core`'s
+//! Parallelism has one axis: whole independent frontier drives (the
+//! chase's root jobs) fan out over the pool, each driven FIFO on one
+//! worker context by [`drive`]. Expanding a candidate is a pure function of
+//! the candidate (memo state only affects speed), so a drive's accepted
+//! stream does not depend on which worker ran it, and [`Exec::run`] returns
+//! per-item results in item order — so callers merge results exactly as a
+//! one-by-one run would have produced them. See `cqi-core`'s
 //! `parallel_props.rs` for the property suites asserting sequential ≡
 //! parallel.
+//!
+//! [`ShardedDedupe`]'s sequence-priority protocol
+//! ([`ShardedDedupe::offer`] / [`ShardedDedupe::confirm`]) and
+//! [`WaveVisible`]'s boundary publication stay safe under concurrent
+//! callers, and `cqi-analysis` model-checks both.
 
 #![deny(unsafe_code)]
 
@@ -42,11 +34,8 @@ pub mod sync;
 
 pub use dedupe::{DedupeStats, Offer, SetKey, ShardedDedupe};
 pub use memo::{MemoCounts, MemoStats, StripedMemo};
-pub use pool::{parallel_for, Exec, ResidentPool, RunCounters, RunCounts};
-pub use scheduler::{
-    DriveStats, Expansion, FrontierScheduler, FrontierTask, ParallelScheduler, SequentialScheduler,
-    WaveVisible,
-};
+pub use pool::{Exec, ResidentPool, RunCounters, RunCounts};
+pub use scheduler::{drive, DriveStats, Expansion, FrontierTask, WaveVisible};
 
 /// Resolves a user-facing thread budget: `0` means "all available
 /// parallelism", anything else is taken literally (minimum 1).

@@ -1,8 +1,8 @@
-//! Work-stealing execution over `std::thread` (no external deps): a scoped
-//! fork-join primitive and a resident pool behind one [`Exec`] handle.
+//! Work-stealing execution over a resident `std::thread` pool (no
+//! external deps), behind one [`Exec`] handle.
 //!
-//! [`parallel_for`] runs one closure over an indexed slice of items on up
-//! to `ctxs.len()` workers. Each worker owns one mutable context (the chase
+//! [`Exec::run`] runs one closure over an indexed slice of items on up to
+//! `ctxs.len()` workers. Each worker owns one mutable context (the chase
 //! threads its per-worker `SolverCache`/`SaturatedState` memos through
 //! here) and pulls work from its own bounded deque; idle workers
 //! *batch-steal* half of a victim's remaining ranges in one lock
@@ -10,22 +10,16 @@
 //! item order, so callers observe a deterministic, sequential-equivalent
 //! output regardless of how work was interleaved.
 //!
-//! Two thread-provisioning strategies share that drain logic:
-//!
-//! - **Scoped** ([`parallel_for`], `Exec` without a pool): workers are
-//!   spawned at entry and joined before return. Zero standing cost, but a
-//!   spawn/join round per call — the right trade for one-shot entry points
-//!   (`run_variant`).
-//! - **Resident** ([`ResidentPool`], `Exec::resident`): a pool of parked
-//!   workers is spawned once (per `cqi::Session`) and fed *batches*. A
-//!   batch submission publishes one entrant closure — "claim a context
-//!   slot and steal until the queues are dry" — to the pool's injector and
-//!   wakes the workers; the **submitting thread self-drains the same
-//!   batch**, so a batch completes even when every resident worker is busy
-//!   (which also makes nested submission from inside a worker
-//!   deadlock-free), while idle residents join as extra hands. A
-//!   close-and-wait barrier keeps the batch's borrowed state alive until
-//!   the last entrant has left.
+//! The threads come from a [`ResidentPool`] of parked workers, spawned
+//! once (per `cqi::Session`) and fed *batches*. A batch submission
+//! publishes one entrant closure — "claim a context slot and steal until
+//! the queues are dry" — to the pool's injector and wakes the workers; the
+//! **submitting thread self-drains the same batch**, so a batch completes
+//! even when every resident worker is busy (which also makes nested
+//! submission from inside a worker deadlock-free), while idle residents
+//! join as extra hands. A close-and-wait barrier keeps the batch's borrowed
+//! state alive until the last entrant has left. An `Exec` without a pool
+//! runs every item inline on the first context.
 
 // The crate is `#![deny(unsafe_code)]`; this module is the project's one
 // allowlisted unsafe file (see `cqi-lint`'s policy) — the context-slot
@@ -179,8 +173,6 @@ pub struct RunCounters {
     pub steals: Counter,
     /// Fan-outs served by the resident pool.
     pub resident_batches: Counter,
-    /// Fan-outs served by scoped spawn-per-call threads.
-    pub scoped_batches: Counter,
 }
 
 /// A point-in-time copy of [`RunCounters`].
@@ -188,7 +180,6 @@ pub struct RunCounters {
 pub struct RunCounts {
     pub steals: u64,
     pub resident_batches: u64,
-    pub scoped_batches: u64,
 }
 
 impl RunCounters {
@@ -196,29 +187,13 @@ impl RunCounters {
         RunCounts {
             steals: self.steals.get(),
             resident_batches: self.resident_batches.get(),
-            scoped_batches: self.scoped_batches.get(),
         }
     }
 }
 
-/// Runs `f(ctx, index, &items[index])` for every item, fanning out over at
-/// most `ctxs.len()` scoped threads (capped at the item count), and returns
-/// the results in item order. With a single context (or zero/one items)
-/// everything runs inline on `ctxs[0]` — no threads are spawned.
-pub fn parallel_for<T, C, R, F>(ctxs: &mut [C], items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    C: Send,
-    R: Send,
-    F: Fn(&mut C, usize, &T) -> R + Sync,
-{
-    Exec::scoped().run(ctxs, items, f)
-}
-
-/// Execution handle threaded through the schedulers and the chase:
-/// [`Exec::run`] is `parallel_for` routed to the resident pool when one is
-/// attached (the session path), to scoped threads otherwise (one-shot
-/// `run_variant`).
+/// Execution handle threaded through the chase's root fan-out:
+/// [`Exec::run`] fans out over the resident pool when one is attached (the
+/// session path) and runs inline otherwise.
 #[derive(Clone, Copy, Default)]
 pub struct Exec<'p> {
     pool: Option<&'p ResidentPool>,
@@ -226,14 +201,6 @@ pub struct Exec<'p> {
 }
 
 impl<'p> Exec<'p> {
-    /// Spawn-per-call execution (the fallback path).
-    pub fn scoped() -> Exec<'static> {
-        Exec {
-            pool: None,
-            counters: None,
-        }
-    }
-
     /// Execution over a resident pool; the calling thread still
     /// participates in every batch, so a pool of `n` workers yields up to
     /// `n + 1`-way parallelism.
@@ -252,26 +219,10 @@ impl<'p> Exec<'p> {
         }
     }
 
-    /// Whether fan-outs go to a resident pool (`false` means scoped
-    /// threads).
-    pub fn is_resident(&self) -> bool {
-        self.pool.is_some_and(|p| p.workers() > 0)
-    }
-
-    /// The useful fan-out of one nested dispatch: the resident pool's
-    /// worker count plus the calling thread. Scoped handles report 1 —
-    /// their fan-out is bounded by the caller's context slice, and nested
-    /// spawns would oversubscribe rather than reuse idle workers.
-    pub fn width(&self) -> usize {
-        match self.pool {
-            Some(p) => p.workers() + 1,
-            None => 1,
-        }
-    }
-
-    /// Runs `f` over the indexed items on up to `ctxs.len()` workers and
-    /// returns results in item order. See [`parallel_for`] for the
-    /// contract; the thread source is this handle's strategy.
+    /// Runs `f(ctx, index, &items[index])` for every item on up to
+    /// `ctxs.len()` workers (capped at the item count) and returns the
+    /// results in item order. With a single context, zero or one items, or
+    /// no pool workers, everything runs inline on `ctxs[0]`.
     pub fn run<T, C, R, F>(&self, ctxs: &mut [C], items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -281,70 +232,28 @@ impl<'p> Exec<'p> {
     {
         assert!(!ctxs.is_empty(), "Exec::run needs at least one context");
         let workers = ctxs.len().min(items.len());
-        if workers <= 1 {
-            let ctx = &mut ctxs[0];
-            return items.iter().enumerate().map(|(i, t)| f(ctx, i, t)).collect();
-        }
+        let pool = match self.pool {
+            Some(p) if p.workers() > 0 && workers > 1 => p,
+            _ => {
+                let ctx = &mut ctxs[0];
+                return items.iter().enumerate().map(|(i, t)| f(ctx, i, t)).collect();
+            }
+        };
         let batch = batch_size(items.len(), workers);
         let queues = seed_queues(items.len(), workers);
         let steals = Counter::new();
-        let tagged = match self.pool {
-            Some(pool) if pool.workers() > 0 => {
-                if let Some(c) = self.counters {
-                    c.resident_batches.inc();
-                }
-                let _s = trace::span("resident_batch", "pool");
-                run_resident(pool, ctxs, items, &f, workers, batch, &queues, &steals)
-            }
-            _ => {
-                if let Some(c) = self.counters {
-                    c.scoped_batches.inc();
-                }
-                let _s = trace::span("scoped_batch", "pool");
-                run_scoped(ctxs, items, &f, workers, batch, &queues, &steals)
-            }
+        if let Some(c) = self.counters {
+            c.resident_batches.inc();
+        }
+        let tagged = {
+            let _s = trace::span("resident_batch", "pool");
+            run_resident(pool, ctxs, items, &f, workers, batch, &queues, &steals)
         };
         if let Some(c) = self.counters {
             c.steals.add(steals.get());
         }
         assemble(items.len(), tagged)
     }
-}
-
-/// The scoped strategy: spawn workers, drain, join.
-// The two run strategies share `Exec::run`'s decomposed batch state; a
-// bundling struct would be built and torn apart at exactly one call site.
-#[allow(clippy::too_many_arguments)]
-fn run_scoped<T, C, R, F>(
-    ctxs: &mut [C],
-    items: &[T],
-    f: &F,
-    workers: usize,
-    batch: usize,
-    queues: &[Mutex<VecDeque<Range<usize>>>],
-    steals: &Counter,
-) -> Vec<(usize, R)>
-where
-    T: Sync,
-    C: Send,
-    R: Send,
-    F: Fn(&mut C, usize, &T) -> R + Sync,
-{
-    let mut tagged: Vec<(usize, R)> = Vec::with_capacity(items.len());
-    thread::scope(|s| {
-        let handles: Vec<_> = ctxs
-            .iter_mut()
-            .take(workers)
-            .enumerate()
-            .map(|(w, ctx)| {
-                s.spawn(move || drain_queues(queues, w, batch, steals, ctx, items, f))
-            })
-            .collect();
-        for h in handles {
-            tagged.extend(h.join().expect("pool worker panicked"));
-        }
-    });
-    tagged
 }
 
 /// Context slots for resident batches. Each raw pointer is claimed by
@@ -370,7 +279,8 @@ impl<C> CtxSlots<C> {
 /// The resident strategy: publish one entrant closure to the pool, drain
 /// the batch on the calling thread too, and barrier until every entrant
 /// has left.
-// Same decomposed batch state as `run_scoped`; see the note there.
+// `Exec::run`'s decomposed batch state; a bundling struct would be built
+// and torn apart at exactly one call site.
 #[allow(clippy::too_many_arguments)]
 fn run_resident<T, C, R, F>(
     pool: &ResidentPool,
@@ -618,9 +528,10 @@ mod tests {
 
     #[test]
     fn results_in_item_order() {
+        let pool = ResidentPool::new(3);
         let items: Vec<usize> = (0..1000).collect();
         let mut ctxs = vec![(), (), (), ()];
-        let out = parallel_for(&mut ctxs, &items, |_, i, x| {
+        let out = Exec::resident(&pool).run(&mut ctxs, &items, |_, i, x| {
             assert_eq!(i, *x);
             x * 2
         });
@@ -629,10 +540,11 @@ mod tests {
 
     #[test]
     fn every_item_processed_exactly_once() {
+        let pool = ResidentPool::new(2);
         let items: Vec<usize> = (0..777).collect();
         let hits = AtomicUsize::new(0);
         let mut ctxs = vec![0usize; 3];
-        let out = parallel_for(&mut ctxs, &items, |ctx, _, x| {
+        let out = Exec::resident(&pool).run(&mut ctxs, &items, |ctx, _, x| {
             *ctx += 1;
             hits.fetch_add(1, Ordering::Relaxed);
             *x
@@ -645,16 +557,22 @@ mod tests {
 
     #[test]
     fn single_context_runs_inline() {
+        let pool = ResidentPool::new(2);
         let items = vec![1, 2, 3];
         let mut ctxs = vec![Vec::<usize>::new()];
-        parallel_for(&mut ctxs, &items, |ctx, i, _| ctx.push(i));
+        Exec::resident(&pool).run(&mut ctxs, &items, |ctx, i, _| ctx.push(i));
         assert_eq!(ctxs[0], vec![0, 1, 2], "inline path preserves order");
+        // Without a pool, every context but the first stays idle.
+        let mut ctxs = vec![Vec::<usize>::new(), Vec::new()];
+        Exec::default().run(&mut ctxs, &items, |ctx, i, _| ctx.push(i));
+        assert_eq!(ctxs, [vec![0, 1, 2], vec![]], "pool-less runs are inline");
     }
 
     #[test]
     fn empty_items_is_a_noop() {
+        let pool = ResidentPool::new(1);
         let mut ctxs = vec![(), ()];
-        let out: Vec<u8> = parallel_for(&mut ctxs, &Vec::<u8>::new(), |_, _, x| *x);
+        let out: Vec<u8> = Exec::resident(&pool).run(&mut ctxs, &[], |_, _, x: &u8| *x);
         assert!(out.is_empty());
     }
 
@@ -662,27 +580,16 @@ mod tests {
     fn uneven_work_is_stolen() {
         // One pathologically slow item at index 0; the rest are instant.
         // All items must still complete (stealing redistributes the tail).
+        let pool = ResidentPool::new(3);
         let items: Vec<usize> = (0..256).collect();
         let mut ctxs = vec![(); 4];
-        let out = parallel_for(&mut ctxs, &items, |_, _, x| {
+        let out = Exec::resident(&pool).run(&mut ctxs, &items, |_, _, x| {
             if *x == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
             *x + 1
         });
         assert_eq!(out, (1..=256).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn resident_results_match_scoped() {
-        let pool = ResidentPool::new(3);
-        let items: Vec<usize> = (0..1000).collect();
-        let mut ctxs = vec![(); 4];
-        let out = Exec::resident(&pool).run(&mut ctxs, &items, |_, i, x| {
-            assert_eq!(i, *x);
-            x * 3
-        });
-        assert_eq!(out, (0..1000).map(|x| x * 3).collect::<Vec<_>>());
     }
 
     #[test]
@@ -738,12 +645,10 @@ mod tests {
         let mut ctxs = vec![(); 3];
         exec.run(&mut ctxs, &items, |_, _, x| *x);
         assert_eq!(counters.resident_batches.get(), 1);
-        assert_eq!(counters.scoped_batches.get(), 0);
-        // Scoped handle counts on the other ledger.
-        let scoped = Exec::scoped().with_counters(&counters);
-        let mut ctxs2 = vec![(); 2];
-        scoped.run(&mut ctxs2, &items, |_, _, x| *x);
-        assert_eq!(counters.scoped_batches.get(), 1);
+        // An inline (pool-less) run is not a batch.
+        let inline = Exec::default().with_counters(&counters);
+        inline.run(&mut ctxs, &items, |_, _, x| *x);
+        assert_eq!(counters.resident_batches.get(), 1);
     }
 
     #[test]

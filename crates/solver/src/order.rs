@@ -31,11 +31,11 @@
 //!   chains converge in one or two passes instead of the O(V) rounds of
 //!   textbook Bellman-Ford; a system still relaxing after `n + 2` passes
 //!   has a positive cycle (Yen's bound is ⌈n/2⌉ + 1).
-//! * **Warm re-solves** ([`solve_order_warm`]) run incremental
-//!   label-correcting with a pending max-heap: distances seed from the
-//!   previous solution, one scan finds the edges the delta violated, and
-//!   repair pops the highest pending class first so a single-edge delta
-//!   touches only the classes downstream of it. A small improvement budget
+//! * **Warm re-solves** ([`solve_order_cached`] with a [`WarmSeed`]) run
+//!   incremental label-correcting with a pending max-heap: distances seed
+//!   from the previous solution, one scan finds the edges the delta
+//!   violated, and repair pops the highest pending class first so a
+//!   single-edge delta touches only the classes downstream of it. A small improvement budget
 //!   bounds the heap work; exceeding it means the cascade is broad enough
 //!   that sweeps beat heap traffic, and the solve downgrades to the cold
 //!   sweeps mid-flight (sound: partial improvements are valid
@@ -170,32 +170,25 @@ pub(crate) fn solve_order_cached(
     res
 }
 
-/// [`solve_order`] with an *incremental warm start*: `warm[i]` is class
-/// `i`'s value from a previous solve of a sub-system of `p` (fewer edges,
-/// possibly fewer merged classes). Relaxation under the longest-path
-/// semantics is monotone and distances only grow as constraints are added,
-/// so the warm path seeds the distance vector at the old absolute values
-/// (re-based against the current base, which keeps base-shifting deltas
-/// such as a first pinned constant warm), finds the few edges the delta
-/// violated in one scan, and repairs just their downstream cone with a
-/// pending max-heap — near-logarithmic work per single-edge delta instead
-/// of a full `O(V·E)` re-relaxation. The chase's delta re-solve path
-/// extends a parent conjunction by one or two literals, which is exactly
-/// this shape.
-///
-/// Soundness does not rest on the warm values being right: the warm
-/// attempt's output is fully [`verify`]d, and any failure (spurious
-/// positive cycle from stale values, pin mismatch, disequality collision)
-/// falls back to the cold solver. Warm and cold are therefore
-/// answer-equivalent; only wall-clock differs.
-pub fn solve_order_warm(p: &OrderProblem, warm: &[Option<f64>]) -> Option<Vec<f64>> {
-    solve_order_cached(p, Some(WarmSeed::Sparse(warm)), &mut OrderCache::default())
-}
-
 /// Borrowed warm-seed forms accepted by [`candidate`].
 #[derive(Clone, Copy)]
 pub(crate) enum WarmSeed<'a> {
-    /// One optional absolute value per class (`len == n`).
+    /// One optional absolute value per class (`len == n`): class `i`'s
+    /// value from a previous solve of a sub-system of the problem (fewer
+    /// edges, possibly fewer merged classes). Relaxation under the
+    /// longest-path semantics is monotone and distances only grow as
+    /// constraints are added, so the warm path seeds the distance vector at
+    /// the old absolute values (re-based against the current base, which
+    /// keeps base-shifting deltas such as a first pinned constant warm),
+    /// finds the few edges the delta violated in one scan, and repairs just
+    /// their downstream cone with a pending max-heap — near-logarithmic
+    /// work per single-edge delta instead of a full `O(V·E)` re-relaxation.
+    ///
+    /// Soundness does not rest on the warm values being right: the warm
+    /// attempt's output is fully [`verify`]d, and any failure (spurious
+    /// positive cycle from stale values, pin mismatch, disequality
+    /// collision) falls back to the cold solver. Warm and cold are
+    /// therefore answer-equivalent; only wall-clock differs.
     Sparse(&'a [Option<f64>]),
     /// Absolute values for the class prefix `0..len` (`len <= n`) — the
     /// theory solver's delta shape, where classes are append-only and the
@@ -523,7 +516,7 @@ impl<'a> RelaxGraph<'a> {
 /// Longest-path candidate assignment followed by integer tightening.
 /// `warm` optionally seeds the relaxation with per-class values from a
 /// previous solve of a sub-system and switches relaxation to the
-/// pending-heap repair (see [`solve_order_warm`]).
+/// pending-heap repair (see [`WarmSeed::Sparse`]).
 fn candidate(p: &OrderProblem, warm: Option<WarmSeed<'_>>, csr: &OrderCsr) -> Option<Vec<f64>> {
     let n = p.n;
     // With pinned constants the base must sit safely below every feasible
@@ -747,6 +740,14 @@ fn verify(p: &OrderProblem, vals: &[f64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A warm re-solve of `p` seeded with one optional value per class.
+    fn warm_solve(p: &OrderProblem, warm: &[Option<f64>]) -> Option<Vec<f64>> {
+        solve_order_cached(p, Some(WarmSeed::Sparse(warm)), &mut OrderCache::default())
+    }
 
     #[test]
     fn simple_chain() {
@@ -929,7 +930,7 @@ mod tests {
         let mut q = p.clone();
         q.lt(3, 2);
         let warm: Vec<Option<f64>> = cold.iter().copied().map(Some).collect();
-        let v = solve_order_warm(&q, &warm).unwrap();
+        let v = warm_solve(&q, &warm).unwrap();
         assert!(v[3] < v[2] && v[2] < v[1] && v[1] < v[0]);
     }
 
@@ -943,7 +944,7 @@ mod tests {
         p.lt(0, 1);
         p.lt(1, 2);
         let garbage = vec![Some(100.0), Some(-5.0), Some(0.0)];
-        let v = solve_order_warm(&p, &garbage).unwrap();
+        let v = warm_solve(&p, &garbage).unwrap();
         assert_eq!(v[0], 2.25);
         assert_eq!(v[2], 2.75);
         assert!(v[0] < v[1] && v[1] < v[2]);
@@ -957,7 +958,7 @@ mod tests {
         let warm: Vec<Option<f64>> = cold.iter().copied().map(Some).collect();
         let mut q = p.clone();
         q.lt(1, 0); // cycle
-        assert!(solve_order_warm(&q, &warm).is_none());
+        assert!(warm_solve(&q, &warm).is_none());
     }
 
     #[test]
@@ -970,7 +971,7 @@ mod tests {
         p.lt(0, 1);
         p.lt(1, 2);
         let warm = vec![Some(2.0), Some(2.1), Some(2.2)];
-        let v = solve_order_warm(&p, &warm).unwrap();
+        let v = warm_solve(&p, &warm).unwrap();
         assert_eq!(v[0], 2.0);
         assert!(v[1] >= 3.0 && v[1].fract() == 0.0);
         assert!(v[2] >= 4.0 && v[2].fract() == 0.0);
@@ -983,7 +984,7 @@ mod tests {
         let mut p = OrderProblem::new(2);
         p.neqs.push((0, 1));
         let warm = vec![Some(1.0), Some(1.0)];
-        let v = solve_order_warm(&p, &warm).unwrap();
+        let v = warm_solve(&p, &warm).unwrap();
         assert_ne!(v[0], v[1]);
     }
 
@@ -999,5 +1000,60 @@ mod tests {
         assert!(v[0] < v[1] && v[1] < v[2]);
         assert_eq!(v[0].fract(), 0.0);
         assert_eq!(v[2].fract(), 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The warm-started order solver agrees with the cold one on random
+        /// systems, even when seeded with arbitrary (possibly nonsensical)
+        /// warm values — the warm path verifies and falls back.
+        #[test]
+        fn warm_order_solve_agrees_with_cold(seed in any::<u64>(), warm_seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..8usize);
+            let mut p = OrderProblem::new(n);
+            for i in 0..n {
+                if rng.gen_bool(0.3) {
+                    p.int_class[i] = true;
+                }
+                if rng.gen_bool(0.25) {
+                    p.pinned[i] = Some(rng.gen_range(-4..8) as f64 / 2.0);
+                }
+            }
+            for _ in 0..rng.gen_range(0..2 * n + 1) {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if rng.gen() { p.lt(a, b) } else { p.le(a, b) }
+            }
+            for _ in 0..rng.gen_range(0..n) {
+                p.neqs.push((rng.gen_range(0..n), rng.gen_range(0..n)));
+            }
+            let mut wrng = StdRng::seed_from_u64(warm_seed);
+            let warm: Vec<Option<f64>> = (0..n)
+                .map(|_| wrng.gen_bool(0.7).then(|| wrng.gen_range(-10..10) as f64 / 2.0))
+                .collect();
+            let cold = solve_order(&p);
+            let warm_res = warm_solve(&p, &warm);
+            prop_assert_eq!(cold.is_some(), warm_res.is_some(), "warm/cold must agree on sat");
+            if let Some(v) = warm_res {
+                // The warm answer must satisfy every constraint.
+                for e in &p.edges {
+                    if e.strict {
+                        prop_assert!(v[e.from] < v[e.to]);
+                    } else {
+                        prop_assert!(v[e.from] <= v[e.to]);
+                    }
+                }
+                for (i, pin) in p.pinned.iter().enumerate() {
+                    if let Some(pin) = pin { prop_assert_eq!(v[i], *pin); }
+                }
+                for (i, int) in p.int_class.iter().enumerate() {
+                    if *int { prop_assert_eq!(v[i].fract(), 0.0); }
+                }
+                for (a, b) in &p.neqs {
+                    prop_assert!(v[*a] != v[*b]);
+                }
+            }
+        }
     }
 }

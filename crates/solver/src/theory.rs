@@ -110,7 +110,7 @@ pub(crate) struct Saturation {
     null_node: Vec<usize>,
     /// Per-node numeric values from the last successful [`solve`] — the
     /// warm start of the next solve's Bellman-Ford
-    /// ([`crate::order::solve_order_warm`]). Carried along by `Clone`, so a
+    /// ([`crate::order::WarmSeed::Sparse`]). Carried along by `Clone`, so a
     /// [`crate::state::SaturatedState`] extension re-solves its delta warm
     /// instead of cold. Speed-only: the warm path verifies its output and
     /// falls back to the cold solver on any mismatch.

@@ -217,58 +217,6 @@ proptest! {
         }
     }
 
-    /// The warm-started order solver agrees with the cold one on random
-    /// systems, even when seeded with arbitrary (possibly nonsensical)
-    /// warm values — the warm path verifies and falls back.
-    #[test]
-    fn warm_order_solve_agrees_with_cold(seed in any::<u64>(), warm_seed in any::<u64>()) {
-        use cqi_solver::order::{solve_order, solve_order_warm, OrderProblem};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = rng.gen_range(1..8usize);
-        let mut p = OrderProblem::new(n);
-        for i in 0..n {
-            if rng.gen_bool(0.3) {
-                p.int_class[i] = true;
-            }
-            if rng.gen_bool(0.25) {
-                p.pinned[i] = Some(rng.gen_range(-4..8) as f64 / 2.0);
-            }
-        }
-        for _ in 0..rng.gen_range(0..2 * n + 1) {
-            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
-            if rng.gen() { p.lt(a, b) } else { p.le(a, b) }
-        }
-        for _ in 0..rng.gen_range(0..n) {
-            p.neqs.push((rng.gen_range(0..n), rng.gen_range(0..n)));
-        }
-        let mut wrng = StdRng::seed_from_u64(warm_seed);
-        let warm: Vec<Option<f64>> = (0..n)
-            .map(|_| wrng.gen_bool(0.7).then(|| wrng.gen_range(-10..10) as f64 / 2.0))
-            .collect();
-        let cold = solve_order(&p);
-        let warm_res = solve_order_warm(&p, &warm);
-        prop_assert_eq!(cold.is_some(), warm_res.is_some(), "warm/cold must agree on sat");
-        if let Some(v) = warm_res {
-            // The warm answer must satisfy every constraint.
-            for e in &p.edges {
-                if e.strict {
-                    prop_assert!(v[e.from] < v[e.to]);
-                } else {
-                    prop_assert!(v[e.from] <= v[e.to]);
-                }
-            }
-            for (i, pin) in p.pinned.iter().enumerate() {
-                if let Some(pin) = pin { prop_assert_eq!(v[i], *pin); }
-            }
-            for (i, int) in p.int_class.iter().enumerate() {
-                if *int { prop_assert_eq!(v[i].fract(), 0.0); }
-            }
-            for (a, b) in &p.neqs {
-                prop_assert!(v[*a] != v[*b]);
-            }
-        }
-    }
-
     /// A chain of saturated-state extensions (the chase's step pattern,
     /// which re-solves warm after the first solve) agrees with from-scratch
     /// at every step.

@@ -52,9 +52,7 @@ fn streamed(
     limit: usize,
     threads: usize,
 ) -> (Vec<String>, CSolution) {
-    let cfg = ChaseConfig::with_limit(limit)
-        .threads(threads)
-        .parallel_min_frontier(2);
+    let cfg = ChaseConfig::with_limit(limit).threads(threads);
     let session = Session::new(Arc::clone(s)).config(cfg);
     let mut stream = session
         .explain(ExplainRequest::tree(tree).variant(variant))
@@ -164,7 +162,7 @@ fn deadline_expiry_returns_partial_results_flagged() {
 #[test]
 fn cancellation_mid_drive_stops_after_the_inflight_instance() {
     // threads=1 makes this fully deterministic: the cancel fires inside
-    // the acceptance callback, and the sequential scheduler polls the
+    // the acceptance callback, and the frontier driver polls the
     // token before expanding the next candidate — so exactly one instance
     // is accepted.
     let s = schema();
