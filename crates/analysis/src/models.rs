@@ -1,9 +1,9 @@
-//! Model programs: the runtime's three concurrency protocols run under the
+//! Model programs: the runtime's two concurrency protocols run under the
 //! vendored `loom` checker's bounded exhaustive scheduler, against the
-//! *real* production types (`ShardedDedupe`, `StripedMemo`, `ResidentPool`)
-//! — `cqi-runtime`'s `model-check` feature routes their synchronization
-//! through instrumented primitives, so every interleaving the scheduler
-//! explores is an interleaving the production protocol could exhibit.
+//! *real* production types (`StripedMemo`, `ResidentPool`) — `cqi-runtime`'s
+//! `model-check` feature routes their synchronization through instrumented
+//! primitives, so every interleaving the scheduler explores is an
+//! interleaving the production protocol could exhibit.
 //!
 //! Each protocol has clean models (must exhaust the bounded schedule tree
 //! with zero violations) and a **seeded-fault** model (must demonstrably
@@ -12,18 +12,14 @@
 //!
 //! | protocol | clean property | seeded fault |
 //! |---|---|---|
-//! | dedupe offer/confirm | exactly one representative per iso-class survives, and it is the min-seq candidate | confirming without the wave barrier double-elects |
 //! | striped memo | first-writer-wins races are value-benign (stored values are pure functions of keys) | an impure (writer-dependent) value makes the surviving value schedule-dependent |
 //! | pool injector | batches complete, nested submission and the `BatchGuard` panic path never deadlock or lose a wakeup | skipping the last entrant's idle notify strands the submitter's barrier (lost wakeup → deadlock) |
-//! | wave-visible accepts | publication is pinned to the wave boundary: a racing snapshot sees the whole boundary batch or none of it, never a partial prefix | publishing after each note (mid-wave) exposes a partial set to a concurrent reader |
 
 use std::sync::atomic::{AtomicU64 as PlainU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use cqi_runtime::dedupe::{Offer, SetKey, ShardedDedupe};
 use cqi_runtime::memo::StripedMemo;
 use cqi_runtime::pool::{fault, ResidentPool};
-use cqi_runtime::WaveVisible;
 use loom::{Builder, Report};
 
 /// Serializes model runs that arm process-global fault hooks (and, by
@@ -61,82 +57,6 @@ impl ModelOutcome {
         } else {
             self.report.violation.is_none() && self.report.exhausted
         }
-    }
-}
-
-fn iso(a: &(u32, u32), b: &(u32, u32)) -> bool {
-    a.0 == b.0
-}
-
-fn skey(signature: u64, digest: u64) -> SetKey {
-    SetKey { signature, digest }
-}
-
-/// Clean: two racing candidates of one iso-class, offers separated from
-/// confirms by the wave barrier (the joins) — exactly one survivor, and it
-/// is the minimum-sequence candidate, under every interleaving.
-pub fn dedupe_offer_confirm() -> ModelOutcome {
-    let report = builder(2).check(|| {
-        let set: Arc<ShardedDedupe<(u32, u32)>> = Arc::new(ShardedDedupe::new(1));
-        let handles: Vec<_> = [(0u64, 10u64), (1, 11)]
-            .into_iter()
-            .map(|(seq, digest)| {
-                let set = Arc::clone(&set);
-                loom::thread::spawn(move || {
-                    set.offer(skey(7, digest), seq, &(1, seq as u32), &iso)
-                })
-            })
-            .collect();
-        let verdicts: Vec<Offer> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        // Wave barrier passed: confirm each candidate.
-        let survivors = [(0u64, 10u64), (1, 11)]
-            .into_iter()
-            .filter(|&(seq, digest)| set.confirm(skey(7, digest), seq, &(1, seq as u32), &iso))
-            .collect::<Vec<_>>();
-        assert_eq!(
-            survivors,
-            vec![(0, 10)],
-            "exactly the min-seq candidate survives (verdicts: {verdicts:?})"
-        );
-        assert_eq!(set.len(), 1, "one representative per iso-class");
-    });
-    ModelOutcome {
-        name: "dedupe_offer_confirm",
-        expect_violation: false,
-        report,
-    }
-}
-
-/// Seeded fault (usage-level): each candidate confirms immediately after
-/// its own offer, skipping the wave barrier. An interleaving where the
-/// later-seq candidate offers *and confirms* before the earlier one
-/// arrives double-elects — the checker must find it.
-pub fn dedupe_skip_barrier_fault() -> ModelOutcome {
-    let report = builder(2).check(|| {
-        let set: Arc<ShardedDedupe<(u32, u32)>> = Arc::new(ShardedDedupe::new(1));
-        let handles: Vec<_> = [(0u64, 10u64), (1, 11)]
-            .into_iter()
-            .map(|(seq, digest)| {
-                let set = Arc::clone(&set);
-                loom::thread::spawn(move || {
-                    // BUG: no barrier between offer and confirm.
-                    let v = set.offer(skey(7, digest), seq, &(1, seq as u32), &iso);
-                    v == Offer::Tentative
-                        && set.confirm(skey(7, digest), seq, &(1, seq as u32), &iso)
-                })
-            })
-            .collect();
-        let elected = handles
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .filter(|&confirmed| confirmed)
-            .count();
-        assert!(elected <= 1, "double election");
-    });
-    ModelOutcome {
-        name: "dedupe_skip_barrier_fault",
-        expect_violation: true,
-        report,
     }
 }
 
@@ -296,92 +216,15 @@ pub fn injector_lost_wakeup_fault() -> ModelOutcome {
     }
 }
 
-/// Clean: wave-boundary publication — the state protocol behind
-/// acceptance-order-safe subsumption pruning. The driving thread stages
-/// two accepts of one wave with `note` and makes them visible in a single
-/// boundary `publish`, while a racing reader takes `snapshot`s. Under
-/// every interleaving the reader sees the pre-boundary set (empty) or the
-/// complete boundary batch — never a partial mid-wave prefix — so every
-/// expansion of a wave observes the identical published set. The
-/// driving-thread-only `any_all` view must see staged entries *before*
-/// the boundary (the sink-side subsumption filter relies on that), and
-/// the publish cap must keep the earliest-noted prefix.
-pub fn wave_visible_publish_at_boundary() -> ModelOutcome {
-    let report = builder(2).check(|| {
-        let wv: Arc<WaveVisible<u32>> = Arc::new(WaveVisible::new());
-        let reader = {
-            let wv = Arc::clone(&wv);
-            loom::thread::spawn(move || wv.snapshot().len())
-        };
-        wv.note(1);
-        wv.note(2);
-        // Sink-order filter view: staged entries are scannable on the
-        // driving thread even though no snapshot can see them yet.
-        assert!(wv.any_all(|&v| v == 2), "any_all must see staged accepts");
-        wv.publish(usize::MAX); // the wave boundary: the whole batch at once
-        let seen = reader.join().unwrap();
-        assert!(
-            seen == 0 || seen == 2,
-            "a snapshot saw a partial mid-wave set of {seen} entries"
-        );
-        assert_eq!(wv.snapshot().as_slice(), &[1, 2]);
-        // Cap semantics: the visible set keeps the earliest-noted prefix;
-        // over-cap entries are dropped, not deferred.
-        wv.note(3);
-        wv.publish(2);
-        assert_eq!(wv.snapshot().as_slice(), &[1, 2]);
-        assert!(!wv.any_all(|&v| v == 3), "over-cap entries must be dropped");
-    });
-    ModelOutcome {
-        name: "wave_visible_publish_at_boundary",
-        expect_violation: false,
-        report,
-    }
-}
-
-/// Seeded fault (usage-level): the driver publishes after *each* note —
-/// publication mid-wave instead of pinned to the boundary. The
-/// interleaving where the reader snapshots between the two publishes
-/// observes a one-entry partial set, which the checker must exhibit
-/// (this is exactly the divergence the schedulers' boundary-only publish
-/// rule exists to prevent).
-pub fn wave_visible_midwave_publish_fault() -> ModelOutcome {
-    let report = builder(2).check(|| {
-        let wv: Arc<WaveVisible<u32>> = Arc::new(WaveVisible::new());
-        let reader = {
-            let wv = Arc::clone(&wv);
-            loom::thread::spawn(move || wv.snapshot().len())
-        };
-        wv.note(1);
-        wv.publish(usize::MAX); // BUG: publication not pinned to the boundary.
-        wv.note(2);
-        wv.publish(usize::MAX);
-        let seen = reader.join().unwrap();
-        assert!(
-            seen == 0 || seen == 2,
-            "a snapshot saw a partial mid-wave set of {seen} entries"
-        );
-    });
-    ModelOutcome {
-        name: "wave_visible_midwave_publish_fault",
-        expect_violation: true,
-        report,
-    }
-}
-
 /// Every model, in reporting order.
 pub fn all_models() -> Vec<ModelOutcome> {
     let _g = run_lock().lock().unwrap();
     vec![
-        dedupe_offer_confirm(),
-        dedupe_skip_barrier_fault(),
         memo_first_writer_wins(),
         memo_impure_value_fault(),
         injector_batch_lifecycle(),
         injector_nested_submission(),
         injector_panic_path(),
         injector_lost_wakeup_fault(),
-        wave_visible_publish_at_boundary(),
-        wave_visible_midwave_publish_fault(),
     ]
 }

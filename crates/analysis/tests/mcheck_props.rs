@@ -5,6 +5,8 @@
 //! checker can see the bug class, not merely that it ran).
 #![cfg(feature = "model-check")]
 
+use std::collections::BTreeSet;
+
 use cqi_analysis::models;
 
 #[test]
@@ -20,26 +22,43 @@ fn all_registered_models_pass_their_expectation() {
     }
 }
 
+/// The protocol a model checks: its name up to the first `_`
+/// (`memo_first_writer_wins` → `memo`).
+fn protocol(name: &str) -> &str {
+    name.split('_').next().unwrap_or(name)
+}
+
 #[test]
 fn every_protocol_has_a_seeded_fault_twin_with_a_counterexample() {
     let outcomes = models::all_models();
-    let faulty: Vec<_> = outcomes.iter().filter(|o| o.expect_violation).collect();
-    assert!(
-        faulty.len() >= 3,
-        "each protocol needs a seeded-fault twin; found {}",
-        faulty.len()
+    let protocols: BTreeSet<&str> = outcomes
+        .iter()
+        .filter(|o| !o.expect_violation)
+        .map(|o| protocol(o.name))
+        .collect();
+    assert_eq!(
+        protocols,
+        BTreeSet::from(["injector", "memo"]),
+        "clean models must cover the pool injector and the striped memo"
     );
-    for o in faulty {
-        let v = o
-            .report
-            .violation
-            .as_ref()
-            .unwrap_or_else(|| panic!("fault model `{}` found no counterexample", o.name));
-        assert!(
-            !v.schedule.is_empty(),
-            "fault model `{}`: counterexample lacks a replayable schedule",
-            o.name
-        );
+    for p in protocols {
+        let twins: Vec<_> = outcomes
+            .iter()
+            .filter(|o| o.expect_violation && protocol(o.name) == p)
+            .collect();
+        assert!(!twins.is_empty(), "protocol `{p}` has no seeded-fault twin");
+        for o in twins {
+            let v = o
+                .report
+                .violation
+                .as_ref()
+                .unwrap_or_else(|| panic!("fault model `{}` found no counterexample", o.name));
+            assert!(
+                !v.schedule.is_empty(),
+                "fault model `{}`: counterexample lacks a replayable schedule",
+                o.name
+            );
+        }
     }
 }
 

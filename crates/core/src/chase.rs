@@ -11,25 +11,25 @@
 //! guarantees termination (Proposition 3.1 makes an unbounded search
 //! undecidable).
 //!
-//! ## Execution model (`cqi-runtime`)
+//! ## Execution model
 //!
-//! Each root search is driven FIFO on one worker context by
-//! [`cqi_runtime::drive`], with the `visited` check backed by
-//! [`cqi_runtime::ShardedDedupe`] keyed on the
-//! [`signature`]/[`exact_digest`] iso-invariants. Expanding a candidate is
-//! a pure function of the candidate — all mutable state ([`WorkerCtx`]:
-//! solver memos, saturated states, sub-BFS results) only affects speed —
-//! so a root's accepted stream does not depend on which worker drove it.
-//! Parallelism has exactly one axis: multi-root runs (the `Conj-*` tree
-//! sets and the `*-Add` re-seeds) fan whole root searches out across the
-//! resident pool ([`Chase::run_roots`]), and results are merged in job
-//! order, so parallel runs accept the *same instances in the same order*
-//! as sequential ones (asserted by `crates/core/tests/parallel_props.rs`).
+//! Each root search is one FIFO loop on one worker context
+//! (`Engine::root_bfs`), sharing the accept/expand step and the `visited`
+//! set (`crate::visited::Visited`, keyed on the renaming-invariant
+//! signature and the [`exact_digest`]) with the nested searches. Expanding a
+//! candidate is a pure function of the candidate — all mutable state
+//! ([`WorkerCtx`]: solver memos, saturated states, sub-BFS results) only
+//! affects speed — so a root's accepted stream does not depend on which
+//! worker drove it. Parallelism has exactly one axis: multi-root runs (the
+//! `Conj-*` tree sets and the `*-Add` re-seeds) fan whole root searches out
+//! across the resident pool of `cqi-runtime` ([`Chase::run_roots`]), and
+//! results are merged in job order, so parallel runs accept the *same
+//! instances in the same order* as sequential ones (asserted by
+//! `crates/core/tests/parallel_props.rs`).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,13 +38,8 @@ use cqi_obs::trace::{self, Phase};
 use cqi_instance::consistency::{
     conj_lits, is_consistent, is_consistent_cached, is_pure_conjunctive, to_problem,
 };
-use cqi_instance::{
-    digest_stats, exact_digest, is_isomorphic, signature, subsumes, CInstance, Cond,
-};
-use cqi_runtime::{
-    drive, DriveStats, Exec, Expansion, FrontierTask, ResidentPool, RunCounters, SetKey,
-    StripedMemo, WaveVisible,
-};
+use cqi_instance::{digest_stats, exact_digest, subsumes, CInstance, Cond};
+use cqi_runtime::{Exec, ResidentPool, RunCounters, StripedMemo};
 use cqi_solver::canon::{canonicalize, CanonKey};
 use cqi_solver::{Ent, Lit, Model, SaturatedState, SolverCache};
 
@@ -54,6 +49,7 @@ use crate::cover::coverage_of_cinstance_keys;
 use crate::dnf::{has_quantifier, tree_to_conj};
 use crate::stats::ChaseStats;
 use crate::treesat::{atom_to_lit, Hom, SatCtx};
+use crate::visited::Visited;
 
 /// Bound on retained saturated states (each is small — vectors over the
 /// instance's nulls/literals — but runs can visit millions of instances).
@@ -63,8 +59,7 @@ const SAT_MEMO_CAP: usize = 200_000;
 /// worker's L1 capacity because it serves every worker of a session.
 const SHARED_SOLVER_CAP: usize = 32_768;
 
-/// Lock stripes of each shared memo (mirrors `ShardedDedupe`'s striping;
-/// power of two).
+/// Lock stripes of each shared memo (power of two).
 const MEMO_STRIPES: usize = 64;
 
 /// Bound on the subsumption-prune comparison set, total across coverage
@@ -323,17 +318,78 @@ pub struct RootJob<'f> {
 /// the sink — the instance's leaf coverage.
 pub type AcceptedInstance = (CInstance, Duration, Option<Coverage>);
 
+/// What every search of one run shares: the query, the run parameters and
+/// the stop conditions. The root searches and the recursive [`Engine`]
+/// read it; only the worker context differs between them.
+struct SearchEnv<'a> {
+    query: &'a Query,
+    cfg: &'a ChaseConfig,
+    /// Whether `Handle-Universal` may mint fresh labeled nulls
+    /// (the `EO` variants disable this).
+    universal_fresh: bool,
+    deadline: Option<Instant>,
+    cancel: Option<CancelToken>,
+    /// Hash of the query's variable table (names + domains). Folded into
+    /// the sub-BFS memo key: two queries can share a formula *shape*
+    /// (identical `VarId` structure) while naming/typing their variables
+    /// differently, and fresh nulls inherit `query.var_name`/`var_domain`
+    /// — so shape alone must not hit another query's cached results when
+    /// a session reuses [`ChaseCaches`].
+    query_key: u64,
+}
+
+impl SearchEnv<'_> {
+    /// One root search on `ctx`: lines 2–5 of Algorithm 1 bind the free
+    /// variables, then [`Engine::root_bfs`] runs the loop, flushing every
+    /// accept to `sink` as it happens. A search that starts past the
+    /// deadline or after a cancellation records that in `ctx` and does
+    /// nothing.
+    fn search(
+        &self,
+        ctx: &mut WorkerCtx,
+        formula: &Formula,
+        seed: CInstance,
+        seed_h: Hom,
+        sink: &mut dyn FnMut(CInstance, Option<Coverage>) -> bool,
+    ) -> RootStats {
+        let mut engine = Engine { env: self, ctx };
+        if engine.stopped() {
+            return RootStats::default();
+        }
+        let _root_span = trace::span("root_job", "chase");
+        let (i0, h0) = bind_free_vars(self.query, formula, seed, seed_h);
+        engine.root_bfs(formula, &h0, i0, sink)
+    }
+}
+
+/// What root searches did, for the run's [`ChaseStats`].
+#[derive(Clone, Copy, Debug, Default)]
+struct RootStats {
+    /// BFS generations processed (the seed is generation 0).
+    waves: u64,
+    /// `visited` traffic: offers, duplicates, isomorphism checks.
+    offers: u64,
+    duplicates: u64,
+    iso_checks: u64,
+    /// Candidates dropped by the subsumption cut.
+    pruned: u64,
+}
+
+impl RootStats {
+    fn add(&mut self, o: RootStats) {
+        self.waves += o.waves;
+        self.offers += o.offers;
+        self.duplicates += o.duplicates;
+        self.iso_checks += o.iso_checks;
+        self.pruned += o.pruned;
+    }
+}
+
 /// One chase run (possibly over several trees, for the `Conj-*` and `*-Add`
 /// variants, which all feed the same accepted-instance log).
 pub struct Chase<'a> {
-    pub query: &'a Query,
-    pub cfg: &'a ChaseConfig,
-    /// Whether `Handle-Universal` may mint fresh labeled nulls
-    /// (the `EO` variants disable this).
-    pub universal_fresh: bool,
+    env: SearchEnv<'a>,
     pub start: Instant,
-    deadline: Option<Instant>,
-    cancel: Option<CancelToken>,
     pub timed_out: bool,
     /// A [`CancelToken`] fired mid-drive.
     pub cancelled: bool,
@@ -359,22 +415,12 @@ pub struct Chase<'a> {
     shared: Arc<SharedMemos>,
     /// Steal/batch counters of this run's fan-outs.
     run_counters: RunCounters,
-    /// Wave/dedupe totals accumulated over this run's drives.
-    drive_acc: DriveStats,
-    /// Subsumption-pruned subtrees over this run's drives (the task-local
-    /// counter is read back after each drive).
-    subsumed: u64,
+    /// Totals over this run's root searches.
+    roots: RootStats,
     /// Cumulative counters at construction — subtracted so
     /// [`Chase::stats`] reports per-run deltas despite session-persistent
     /// caches and process-global digest/phase totals.
     stats_base: ChaseStats,
-    /// Hash of the query's variable table (names + domains). Folded into
-    /// the sub-BFS memo key: two queries can share a formula *shape*
-    /// (identical `VarId` structure) while naming/typing their variables
-    /// differently, and fresh nulls inherit `query.var_name`/`var_domain`
-    /// — so shape alone must not hit another query's cached results when
-    /// a session reuses [`ChaseCaches`].
-    query_key: u64,
 }
 
 impl<'a> Chase<'a> {
@@ -432,12 +478,15 @@ impl<'a> Chase<'a> {
             h.finish()
         };
         let mut chase = Chase {
-            query,
-            cfg,
-            universal_fresh,
+            env: SearchEnv {
+                query,
+                cfg,
+                universal_fresh,
+                deadline: cfg.timeout.map(|t| start + t),
+                cancel: cfg.cancel.clone(),
+                query_key,
+            },
             start,
-            deadline: cfg.timeout.map(|t| start + t),
-            cancel: cfg.cancel.clone(),
             timed_out: false,
             cancelled: false,
             halted: false,
@@ -448,10 +497,8 @@ impl<'a> Chase<'a> {
             pool: caches.pool.clone(),
             shared: Arc::clone(&caches.shared),
             run_counters: RunCounters::default(),
-            drive_acc: DriveStats::default(),
-            subsumed: 0,
+            roots: RootStats::default(),
             stats_base: ChaseStats::default(),
-            query_key,
         };
         chase.stats_base = chase.cumulative_stats();
         chase
@@ -475,21 +522,21 @@ impl<'a> Chase<'a> {
         let [phase_solver_ns, phase_canon_ns, phase_dedupe_ns, phase_sched_ns] =
             trace::phase_totals();
         let mut s = ChaseStats {
-            subsumed_subtrees: self.subsumed,
+            subsumed_subtrees: self.roots.pruned,
             digest_hits,
             digest_recomputes,
             phase_solver_ns,
             phase_canon_ns,
             phase_dedupe_ns,
             phase_sched_ns,
-            waves: self.drive_acc.waves,
+            waves: self.roots.waves,
             // Every wave runs inline on its root's worker context.
-            spilled_waves: self.drive_acc.waves,
+            spilled_waves: self.roots.waves,
             steals: counters.steals,
             resident_batches: counters.resident_batches,
-            dedupe_offers: self.drive_acc.dedupe.offers,
-            dedupe_duplicates: self.drive_acc.dedupe.duplicates,
-            dedupe_iso_checks: self.drive_acc.dedupe.iso_checks,
+            dedupe_offers: self.roots.offers,
+            dedupe_duplicates: self.roots.duplicates,
+            dedupe_iso_checks: self.roots.iso_checks,
             solver_l2: self.shared.solver.stats.snapshot(),
             sat_l2: self.shared.sat.stats.snapshot(),
             ..ChaseStats::default()
@@ -510,24 +557,6 @@ impl<'a> Chase<'a> {
     /// plus per-run deltas of the session-persistent cache counters.
     pub fn stats(&self) -> ChaseStats {
         self.cumulative_stats().since(&self.stats_base)
-    }
-
-    fn absorb_drive(&mut self, st: DriveStats) {
-        self.drive_acc.waves += st.waves;
-        self.drive_acc.dedupe.offers += st.dedupe.offers;
-        self.drive_acc.dedupe.duplicates += st.dedupe.duplicates;
-        self.drive_acc.dedupe.iso_checks += st.dedupe.iso_checks;
-    }
-
-    fn deadline_passed(&self) -> bool {
-        // lint:allow(wall-clock) deadline enforcement needs a real clock
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    fn cancel_fired(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled)
     }
 
     fn collect_ctx_flags(&mut self) {
@@ -557,34 +586,12 @@ impl<'a> Chase<'a> {
         if self.done {
             return;
         }
-        if self.deadline_passed() {
-            self.timed_out = true;
-            return;
-        }
-        if self.cancel_fired() {
-            self.cancelled = true;
-            return;
-        }
-        let _root_span = trace::span("root_job", "chase");
-        let (i0, h0) = bind_free_vars(self.query, formula, seed, seed_h);
-        let task = RootTask {
-            query: self.query,
-            cfg: self.cfg,
-            universal_fresh: self.universal_fresh,
-            deadline: self.deadline,
-            cancel: self.cancel.as_ref(),
-            formula,
-            h0: &h0,
-            query_key: self.query_key,
-            subsume: SubsumePrune::for_seed(self.cfg, &i0),
-            pruned: AtomicU64::new(0),
-        };
         let start = self.start;
-        let max = self.cfg.max_results;
+        let max = self.env.cfg.max_results;
         let accepted = &mut self.accepted;
         let mut done = false;
         let mut halted = false;
-        let mut sink = |(inst, cov): (CInstance, Option<Coverage>)| {
+        let mut sink = |inst: CInstance, cov: Option<Coverage>| {
             let t = start.elapsed();
             let keep_streaming = observer(&inst, t, cov.as_ref());
             accepted.push((inst, t, cov));
@@ -600,10 +607,8 @@ impl<'a> Chase<'a> {
                 true
             }
         };
-        let drive_stats = drive(&task, &mut self.ctxs[0], vec![i0], &mut sink);
-        let pruned = task.pruned.load(Ordering::SeqCst);
-        self.absorb_drive(drive_stats);
-        self.subsumed += pruned;
+        let st = self.env.search(&mut self.ctxs[0], formula, seed, seed_h, &mut sink);
+        self.roots.add(st);
         self.done |= done;
         self.halted |= halted;
         self.collect_ctx_flags();
@@ -646,60 +651,27 @@ impl<'a> Chase<'a> {
         jobs: Vec<RootJob<'_>>,
         observer: &mut dyn FnMut(&CInstance, Duration, Option<&Coverage>) -> bool,
     ) {
-        let query = self.query;
-        let cfg = self.cfg;
-        let universal_fresh = self.universal_fresh;
-        let deadline = self.deadline;
-        let cancel = self.cancel.clone();
-        let max = cfg.max_results;
+        let env = &self.env;
+        let max = env.cfg.max_results;
         let start = self.start;
-        let query_key = self.query_key;
         let exec = match self.pool.as_deref() {
             Some(p) => Exec::resident(p),
             None => Exec::default(),
         }
         .with_counters(&self.run_counters);
         let _fanout_span = trace::span("root_job_fanout", "chase");
-        let per_job: Vec<(Vec<AcceptedInstance>, DriveStats, u64)> =
+        let per_job: Vec<(Vec<AcceptedInstance>, RootStats)> =
             exec.run(&mut self.ctxs, &jobs, |ctx, _, job| {
-                let _job_span = trace::span("root_job", "chase");
-                // lint:allow(wall-clock) deadline enforcement needs a real clock
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    ctx.timed_out = true;
-                    return (Vec::new(), DriveStats::default(), 0);
-                }
-                if cancel
-                    .as_ref()
-                    .is_some_and(CancelToken::is_cancelled)
-                {
-                    ctx.cancelled = true;
-                    return (Vec::new(), DriveStats::default(), 0);
-                }
-                let (i0, h0) =
-                    bind_free_vars(query, job.formula, job.seed.clone(), job.h.clone());
-                let task = RootTask {
-                    query,
-                    cfg,
-                    universal_fresh,
-                    deadline,
-                    cancel: cancel.as_ref(),
-                    formula: job.formula,
-                    h0: &h0,
-                    query_key,
-                    subsume: SubsumePrune::for_seed(cfg, &i0),
-                    pruned: AtomicU64::new(0),
-                };
                 let mut acc: Vec<AcceptedInstance> = Vec::new();
-                let mut sink = |(inst, cov): (CInstance, Option<Coverage>)| {
+                let mut sink = |inst: CInstance, cov: Option<Coverage>| {
                     // Timestamp at the moment of acceptance, not at merge —
                     // the §5.1 interactivity metrics read these.
                     acc.push((inst, start.elapsed(), cov));
                     // No single job ever needs more than the global cap.
                     max.is_none_or(|m| acc.len() < m)
                 };
-                let st = drive(&task, ctx, vec![i0], &mut sink);
-                let pruned = task.pruned.load(Ordering::SeqCst);
-                (acc, st, pruned)
+                let st = env.search(ctx, job.formula, job.seed.clone(), job.h.clone(), &mut sink);
+                (acc, st)
             });
         // Deterministic merge: job order, truncated at the global cap
         // exactly where a sequential run would have stopped. (The log stays
@@ -707,9 +679,8 @@ impl<'a> Chase<'a> {
         // jobs, as they legitimately do.) The observer fires here, at the
         // merge point — job-level fan-out is a batch barrier, unlike the
         // per-item flushing of a single root's drive.
-        'merge: for (acc, st, pruned) in per_job {
-            self.absorb_drive(st);
-            self.subsumed += pruned;
+        'merge: for (acc, st) in per_job {
+            self.roots.add(st);
             for (inst, t, cov) in acc {
                 let keep_streaming = observer(&inst, t, cov.as_ref());
                 self.accepted.push((inst, t, cov));
@@ -748,33 +719,16 @@ fn bind_free_vars(
     (inst, h)
 }
 
-/// The top-level frontier of one root search, as a [`FrontierTask`]: admit
-/// by the size limit, dedupe by the [`signature`]/[`exact_digest`]
-/// iso-invariants with [`is_isomorphic`] confirming collisions, and expand
-/// via `Tree-SAT` + `IsConsistent` + `Tree-Chase` on the worker's context.
-struct RootTask<'t> {
-    query: &'t Query,
-    cfg: &'t ChaseConfig,
-    universal_fresh: bool,
-    deadline: Option<Instant>,
-    cancel: Option<&'t CancelToken>,
-    formula: &'t Formula,
-    h0: &'t Hom,
-    query_key: u64,
-    /// Subsumption-prune state (`None` when `cfg.subsume_prune` is off).
-    subsume: Option<SubsumePrune>,
-    /// Subtrees pruned this drive; read back by [`Chase`] afterwards.
-    pruned: AtomicU64,
-}
-
-/// Prune state of one root drive: the accepted instances published at wave
-/// boundaries, plus the seed-null prefix every instance of this root
-/// shares.
+/// Subsumption-prune state of one root search (`cfg.subsume_prune`).
+///
+/// Accepts kept by the sink filter are staged in `pending` and move to
+/// `published` only at generation boundaries, so the expand-time cut —
+/// which reads `published` alone — sees exactly the accepts of strictly
+/// earlier generations, whatever a candidate's position in its own
+/// generation. The sink filter reads both, in sink order.
 struct SubsumePrune {
-    /// Accepted instances with their leaf coverage, staged in sink order
-    /// and published at wave boundaries — so a prune decision only ever
-    /// sees accepts from strictly earlier BFS generations.
-    visible: WaveVisible<(CInstance, Coverage)>,
+    published: Vec<(CInstance, Coverage)>,
+    pending: Vec<(CInstance, Coverage)>,
     /// Number of seed nulls (the bound free variables). They denote the
     /// same entities in every instance of this root, so an embedding must
     /// map them identically rather than renaming them.
@@ -782,206 +736,171 @@ struct SubsumePrune {
 }
 
 impl SubsumePrune {
-    fn for_seed(cfg: &ChaseConfig, seed: &CInstance) -> Option<SubsumePrune> {
-        cfg.subsume_prune.then(|| SubsumePrune {
-            visible: WaveVisible::new(),
-            fixed: seed.num_nulls(),
+    /// Generation boundary: publishes what the sink kept since the last
+    /// one, capping the published set at [`SUBSUME_VISIBLE_CAP`] entries
+    /// (the earliest kept survive — a prefix of the sink order).
+    fn publish(&mut self) {
+        let room = SUBSUME_VISIBLE_CAP.saturating_sub(self.published.len());
+        self.published.extend(self.pending.drain(..).take(room));
+    }
+
+    /// Expand-time cut, checked before the accept test: when a published
+    /// accept embeds into `inst` *and* covers exactly the same query
+    /// leaves, `inst` is dead work. If it satisfies, it is a strictly
+    /// larger re-derivation of the same conditional answer (`minimize`
+    /// keeps the earlier, smaller accept, and the covered-leaf union
+    /// feeding the `*-Add` re-seed phase is unchanged), and its subtree is
+    /// moot either way because accepted instances are never expanded.
+    /// Coverage equality is essential: a superset with *new* coverage is a
+    /// distinct answer and must survive. `inst`'s coverage is computed
+    /// lazily, only once some accept actually embeds — failed embeddings
+    /// stay cheap (budgeted backtracking, no Tree-SAT).
+    fn prunes(&self, query: &Query, enforce_keys: bool, inst: &CInstance) -> bool {
+        if self.published.is_empty() {
+            return false;
+        }
+        let _s = trace::span_phase("subsume_check", "chase", Phase::Dedupe);
+        let mut cov: Option<Coverage> = None;
+        self.published.iter().any(|(acc, acc_cov)| {
+            subsumes(acc, inst, self.fixed)
+                && *cov.get_or_insert_with(|| coverage_of_cinstance_keys(query, inst, enforce_keys))
+                    == *acc_cov
         })
     }
-}
 
-impl FrontierTask for RootTask<'_> {
-    type Item = CInstance;
-    type Ctx = WorkerCtx;
-    /// Accepted instance plus its leaf coverage when the subsumption filter
-    /// already computed it (reused downstream; `None` with pruning off).
-    type Accept = (CInstance, Option<Coverage>);
-
-    fn admit(&self, inst: &CInstance) -> bool {
-        inst.size() <= self.cfg.limit
-    }
-
-    fn keys(&self, inst: &CInstance) -> SetKey {
-        SetKey {
-            signature: signature(inst),
-            digest: exact_digest(inst),
-        }
-    }
-
-    fn is_duplicate(&self, a: &CInstance, b: &CInstance) -> bool {
-        is_isomorphic(a, b)
-    }
-
-    fn stopped(&self, ctx: &mut WorkerCtx) -> bool {
-        // lint:allow(wall-clock) deadline enforcement needs a real clock
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            ctx.timed_out = true;
-            return true;
-        }
-        if self.cancel.is_some_and(CancelToken::is_cancelled) {
-            ctx.cancelled = true;
-            return true;
-        }
-        false
-    }
-
-    fn expand(
-        &self,
-        ctx: &mut WorkerCtx,
-        inst: &CInstance,
-    ) -> Expansion<CInstance, (CInstance, Option<Coverage>)> {
-        let mut engine = Engine {
-            query: self.query,
-            cfg: self.cfg,
-            universal_fresh: self.universal_fresh,
-            deadline: self.deadline,
-            cancel: self.cancel,
-            query_key: self.query_key,
-            ctx,
-        };
-        // Subsumption cut (checked before the accept test): when a visible,
-        // already-accepted instance of this root embeds into this one *and*
-        // covers exactly the same query leaves, this instance is dead work:
-        // if it satisfies, it is a strictly larger re-derivation of the same
-        // conditional answer (`minimize` keeps the earlier, smaller accept,
-        // and the covered-leaf union feeding the `*-Add` re-seed phase is
-        // unchanged), and its subtree is moot either way because accepted
-        // instances are never expanded. Coverage equality is essential: a
-        // superset with *new* coverage is a distinct answer and must
-        // survive. The visible set holds only boundary-published accepts
-        // (strictly earlier waves), so sequential and parallel drives prune
-        // identically. The popped instance's coverage is computed lazily,
-        // only once some accept actually embeds — failed embeddings stay
-        // cheap (budgeted backtracking, no Tree-SAT).
-        if let Some(sub) = &self.subsume {
-            let visible = sub.visible.snapshot();
-            if !visible.is_empty() {
-                let _s = trace::span_phase("subsume_check", "chase", Phase::Dedupe);
-                let mut cov: Option<Coverage> = None;
-                for (acc, acc_cov) in visible.iter() {
-                    if subsumes(acc, inst, sub.fixed) {
-                        let c = cov.get_or_insert_with(|| {
-                            coverage_of_cinstance_keys(self.query, inst, self.cfg.enforce_keys)
-                        });
-                        if c == acc_cov {
-                            self.pruned.fetch_add(1, Ordering::SeqCst);
-                            return Expansion {
-                                accepted: None,
-                                children: Vec::new(),
-                            };
-                        }
-                    }
-                }
-            }
-        }
-        // Line 13: Tree-SAT under the root homomorphism ∧ IsConsistent(I).
-        let sat = SatCtx::new(self.query, inst, self.cfg.enforce_keys).tree_sat(self.formula, self.h0);
-        if sat && engine.consistent(inst) {
-            return Expansion {
-                accepted: Some((inst.clone(), None)),
-                children: Vec::new(),
-            };
-        }
-        // Lines 16–19: expand.
-        let mut children = Vec::new();
-        for j in engine.tree_chase(self.formula, inst, self.h0) {
-            if engine.stopped() {
-                break;
-            }
-            if j.size() <= self.cfg.limit && engine.consistent(&j) {
-                children.push(j);
-            }
-        }
-        Expansion {
-            accepted: None,
-            children,
-        }
-    }
-
-    /// Sink-point subsumption filter. Accept-heavy workloads produce most
-    /// of their accepts as *same-wave siblings*, which the expand-time
-    /// pre-check above structurally cannot see (it reads only
-    /// boundary-published state). Both drivers call `note_accept` at their
-    /// single FIFO merge point on the driving thread, so here the candidate
-    /// can be compared against every earlier-kept accept — published *and*
-    /// staged — and the kept stream is identical under sequential and
-    /// parallel drives. Dropping an accept `D` subsumed by an earlier-kept
-    /// `A` with equal coverage is output-preserving: `minimize` keeps the
-    /// minimum-size instance per coverage with earliest-acceptance
-    /// tie-break, and `A ↪ D` forces `|A| ≤ |D|`, so `D` never wins; the
-    /// covered-leaf union feeding the `*-Add` re-seed phase is unchanged
-    /// because `cov(D) = cov(A)` contributes nothing new.
+    /// Sink filter, in sink order: `None` drops the accept `inst`,
+    /// `Some(coverage)` keeps it. Accept-heavy workloads produce most of
+    /// their accepts as *same-generation siblings*, which the expand-time
+    /// cut cannot see; here the candidate is compared against every
+    /// earlier-kept accept, published *and* pending. Dropping an accept
+    /// `D` subsumed by an earlier-kept `A` with equal coverage is
+    /// output-preserving: `minimize` keeps the minimum-size instance per
+    /// coverage with earliest-acceptance tie-break, and `A ↪ D` forces
+    /// `|A| ≤ |D|`, so `D` never wins; the covered-leaf union feeding the
+    /// `*-Add` re-seed phase is unchanged because `cov(D) = cov(A)`
+    /// contributes nothing new.
     ///
-    /// The coverage computed here is attached to the kept accept, so the
-    /// downstream validation/`*-Add` consumers reuse it instead of
-    /// recomputing — with pruning on, the filter's coverage work *replaces*
-    /// the sink's, it does not add to it.
-    fn note_accept(&self, accepted: &mut (CInstance, Option<Coverage>)) -> bool {
-        let Some(sub) = &self.subsume else { return true };
-        let (inst, cov_slot) = accepted;
+    /// The coverage computed here goes to the sink with the kept accept, so
+    /// the downstream validation/`*-Add` consumers reuse it instead of
+    /// recomputing.
+    fn keep(&mut self, query: &Query, enforce_keys: bool, inst: &CInstance) -> Option<Coverage> {
         let _s = trace::span_phase("subsume_sink", "chase", Phase::Dedupe);
-        let cov = coverage_of_cinstance_keys(self.query, inst, self.cfg.enforce_keys);
+        let cov = coverage_of_cinstance_keys(query, inst, enforce_keys);
         // Cheap coverage-equality reject first: embedding attempts run only
         // against the (few) earlier representatives of this exact class.
-        let mut total = 0usize;
         let mut same_class = 0usize;
-        let dead = sub.visible.any_all(|(acc, acc_cov)| {
-            total += 1;
+        let dead = self.published.iter().chain(&self.pending).any(|(acc, acc_cov)| {
             *acc_cov == cov && {
                 same_class += 1;
-                subsumes(acc, inst, sub.fixed)
+                subsumes(acc, inst, self.fixed)
             }
         });
         if dead {
-            self.pruned.fetch_add(1, Ordering::SeqCst);
-            return false;
+            return None;
         }
-        // When the filter keeps the accept, `total`/`same_class` equal the
-        // current visible population (published + staged) — both are pure
-        // functions of the FIFO kept stream, hence identical across
-        // drivers. Staging is capped per class (early accepts of a class
-        // are the smallest, so a few representatives retain the pruning
-        // power) and in total (memory + scan bound).
-        if total < SUBSUME_VISIBLE_CAP && same_class < SUBSUME_CLASS_CAP {
-            sub.visible.note((inst.clone(), cov.clone()));
+        // Staging is capped per class (early accepts of a class are the
+        // smallest, so a few representatives retain the pruning power) and
+        // in total (memory + scan bound).
+        if self.published.len() + self.pending.len() < SUBSUME_VISIBLE_CAP
+            && same_class < SUBSUME_CLASS_CAP
+        {
+            self.pending.push((inst.clone(), cov.clone()));
         }
-        *cov_slot = Some(cov);
-        true
-    }
-
-    fn wave_boundary(&self) {
-        if let Some(sub) = &self.subsume {
-            sub.visible.publish(SUBSUME_VISIBLE_CAP);
-        }
+        Some(cov)
     }
 }
 
-/// The recursive chase engine: all of Algorithms 1–6 below the top level,
-/// operating on one worker's memo context.
+/// The chase engine: Algorithm 1 (top level and nested) and Algorithms
+/// 2–6, operating on one worker's memo context.
 struct Engine<'e> {
-    query: &'e Query,
-    cfg: &'e ChaseConfig,
-    universal_fresh: bool,
-    deadline: Option<Instant>,
-    cancel: Option<&'e CancelToken>,
-    query_key: u64,
+    env: &'e SearchEnv<'e>,
     ctx: &'e mut WorkerCtx,
 }
 
 impl Engine<'_> {
     fn stopped(&mut self) -> bool {
-        if let Some(d) = self.deadline {
+        if let Some(d) = self.env.deadline {
             // lint:allow(wall-clock) deadline enforcement needs a real clock
             if Instant::now() >= d {
                 self.ctx.timed_out = true;
                 return true;
             }
         }
-        if self.cancel.is_some_and(CancelToken::is_cancelled) {
+        if self.env.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             self.ctx.cancelled = true;
             return true;
         }
         false
+    }
+
+    /// `Tree-Chase-BFS` (Algorithm 1) at the top level: the FIFO loop over
+    /// BFS generations from the bound seed `i0`. Each candidate passes the
+    /// stop check, then admission (size bound + `visited`), then its
+    /// accept/expand step ([`bfs_step`](Self::bfs_step)). An accept is
+    /// flushed to `sink` the moment it is found — never batched to the end,
+    /// which the streaming API's time-to-first-instance relies on — and
+    /// `sink` returning `false` ends the search (`max_results`, or a
+    /// consumer that walked away).
+    fn root_bfs(
+        &mut self,
+        q: &Formula,
+        h0: &Hom,
+        i0: CInstance,
+        sink: &mut dyn FnMut(CInstance, Option<Coverage>) -> bool,
+    ) -> RootStats {
+        let (query, enforce_keys) = (self.env.query, self.env.cfg.enforce_keys);
+        let mut prune = self.env.cfg.subsume_prune.then(|| SubsumePrune {
+            published: Vec::new(),
+            pending: Vec::new(),
+            fixed: i0.num_nulls(),
+        });
+        let mut visited = Visited::root();
+        let mut stats = RootStats::default();
+        let mut wave = vec![i0];
+        'search: while !wave.is_empty() {
+            if let Some(p) = &mut prune {
+                p.publish();
+            }
+            stats.waves += 1;
+            let _wave_span = trace::span("wave", "sched");
+            let mut next = Vec::new();
+            for inst in wave {
+                if self.stopped() {
+                    break 'search;
+                }
+                let admitted = {
+                    let _s = trace::span_phase("dedupe_offer", "dedupe", Phase::Dedupe);
+                    inst.size() <= self.env.cfg.limit && visited.insert(&inst)
+                };
+                if !admitted {
+                    continue;
+                }
+                if prune.as_ref().is_some_and(|p| p.prunes(query, enforce_keys, &inst)) {
+                    stats.pruned += 1;
+                    continue;
+                }
+                let (accepted, children) = self.bfs_step(q, h0, &inst);
+                if !accepted {
+                    next.extend(children);
+                    continue;
+                }
+                let cov = match prune.as_mut().map(|p| p.keep(query, enforce_keys, &inst)) {
+                    Some(None) => {
+                        stats.pruned += 1;
+                        continue;
+                    }
+                    cov => cov.flatten(),
+                };
+                if !sink(inst, cov) {
+                    break 'search;
+                }
+            }
+            wave = next;
+        }
+        stats.offers = visited.offers;
+        stats.duplicates = visited.duplicates;
+        stats.iso_checks = visited.iso_checks;
+        stats
     }
 
     fn consistent(&mut self, inst: &CInstance) -> bool {
@@ -1008,10 +927,10 @@ impl Engine<'_> {
             return *v;
         }
         consistency_checks_metric().inc();
-        let ans = if self.cfg.solver_cache {
+        let ans = if self.env.cfg.solver_cache {
             let canon = {
                 let _s = trace::span_phase("canonicalize", "solver", Phase::Canon);
-                let problem = to_problem(child, self.cfg.enforce_keys);
+                let problem = to_problem(child, self.env.cfg.enforce_keys);
                 canonicalize(&problem)
             };
             let l1 = {
@@ -1110,7 +1029,7 @@ impl Engine<'_> {
                 None => {
                     self.ctx.incr_fallbacks += 1;
                     let _s = trace::span_phase("solve", "solver", Phase::Solver);
-                    is_consistent(child, self.cfg.enforce_keys)
+                    is_consistent(child, self.env.cfg.enforce_keys)
                 }
             }
         };
@@ -1124,10 +1043,10 @@ impl Engine<'_> {
     fn full_check(&mut self, inst: &CInstance) -> bool {
         consistency_checks_metric().inc();
         let _s = trace::span_phase("full_check", "solver", Phase::Solver);
-        if self.cfg.solver_cache {
-            is_consistent_cached(inst, self.cfg.enforce_keys, &mut self.ctx.solver_cache)
+        if self.env.cfg.solver_cache {
+            is_consistent_cached(inst, self.env.cfg.enforce_keys, &mut self.ctx.solver_cache)
         } else {
-            is_consistent(inst, self.cfg.enforce_keys)
+            is_consistent(inst, self.env.cfg.enforce_keys)
         }
     }
 
@@ -1153,14 +1072,14 @@ impl Engine<'_> {
         parent: &CInstance,
         child: &CInstance,
     ) -> Option<Option<SaturatedState>> {
-        if !self.cfg.incremental {
+        if !self.env.cfg.incremental {
             return None;
         }
         // Below this size a fresh solve is cheaper than state bookkeeping.
-        if parent.global.len() < self.cfg.incremental_min_lits {
+        if parent.global.len() < self.env.cfg.incremental_min_lits {
             return None;
         }
-        if !is_pure_conjunctive(child, self.cfg.enforce_keys) {
+        if !is_pure_conjunctive(child, self.env.cfg.enforce_keys) {
             return None;
         }
         if child.global.len() < parent.global.len()
@@ -1188,7 +1107,7 @@ impl Engine<'_> {
                     // seeds a state. A `None` here means the parent itself
                     // is inconsistent; fall back (the caller's full check
                     // will agree).
-                    debug_assert!(is_pure_conjunctive(parent, self.cfg.enforce_keys));
+                    debug_assert!(is_pure_conjunctive(parent, self.env.cfg.enforce_keys));
                     SaturatedState::saturate(&parent.null_types(), &conj_lits(&parent.global))?
                 }
             };
@@ -1226,7 +1145,7 @@ impl Engine<'_> {
         // Key: query identity (variable names/domains — see
         // `Chase::query_key`) + subtree structure + exact instance + the
         // homomorphism entries its free variables see.
-        let fkey = hash_of(&(self.query_key, format!("{q:?}")));
+        let fkey = hash_of(&(self.env.query_key, format!("{q:?}")));
         let ikey = exact_digest(i0);
         let hkey = {
             let mut hh = DefaultHasher::new();
@@ -1259,7 +1178,7 @@ impl Engine<'_> {
     /// order of results and children is the plain loop's (children of
     /// `wave[i]` precede children of `wave[i+1]`).
     fn bfs_inner(&mut self, q: &Formula, h0: &Hom, i0: &CInstance) -> Vec<CInstance> {
-        let (i0, h0) = bind_free_vars(self.query, q, i0.clone(), h0.clone());
+        let (i0, h0) = bind_free_vars(self.env.query, q, i0.clone(), h0.clone());
         // Seed nulls are shared by every result of this search, so a
         // subsumption embedding must keep them pointwise fixed.
         let fixed = i0.num_nulls();
@@ -1268,7 +1187,7 @@ impl Engine<'_> {
         // only under `cfg.subsume_prune`).
         let mut res_covs: Vec<Coverage> = Vec::new();
         let mut frontier: Vec<CInstance> = vec![i0];
-        let mut visited: Vec<(u64, CInstance)> = Vec::new();
+        let mut visited = Visited::nested();
         while !frontier.is_empty() {
             if self.stopped() {
                 break;
@@ -1279,18 +1198,9 @@ impl Engine<'_> {
             {
                 let _s = trace::span_phase("nested_admit", "dedupe", Phase::Dedupe);
                 for inst in std::mem::take(&mut frontier) {
-                    if inst.size() > self.cfg.limit {
-                        continue;
+                    if inst.size() <= self.env.cfg.limit && visited.insert(&inst) {
+                        wave.push(inst);
                     }
-                    let sig = signature(&inst);
-                    if visited
-                        .iter()
-                        .any(|(s, v)| *s == sig && is_isomorphic(v, &inst))
-                    {
-                        continue;
-                    }
-                    visited.push((sig, inst.clone()));
-                    wave.push(inst);
                 }
             }
             wave_width_metric().observe(wave.len() as u64);
@@ -1307,11 +1217,11 @@ impl Engine<'_> {
                     // searches of `handle_conjunction`, recursively) dies
                     // with it. This is per-search-local FIFO state, so the
                     // kept list is a pure function of the search inputs.
-                    if self.cfg.subsume_prune {
+                    if self.env.cfg.subsume_prune {
                         let cov = coverage_of_cinstance_keys(
-                            self.query,
+                            self.env.query,
                             &inst,
-                            self.cfg.enforce_keys,
+                            self.env.cfg.enforce_keys,
                         );
                         if nested_subsumed(&res, &res_covs, &inst, &cov, fixed) {
                             self.ctx.subsumed += 1;
@@ -1338,7 +1248,7 @@ impl Engine<'_> {
         // mapping, not under blanket ∃-closure — otherwise the
         // Handle-Universal merge would accept bodies satisfied by some
         // other entity) ∧ IsConsistent(I).
-        let ctx = SatCtx::new(self.query, inst, self.cfg.enforce_keys);
+        let ctx = SatCtx::new(self.env.query, inst, self.env.cfg.enforce_keys);
         if ctx.tree_sat(q, h0) && self.consistent(inst) {
             return (true, Vec::new());
         }
@@ -1349,7 +1259,7 @@ impl Engine<'_> {
             if self.stopped() {
                 break;
             }
-            if j.size() <= self.cfg.limit && self.consistent(&j) {
+            if j.size() <= self.env.cfg.limit && self.consistent(&j) {
                 children.push(j);
             }
         }
@@ -1362,7 +1272,7 @@ impl Engine<'_> {
             // Lines 2–7: materialize each DNF conjunction.
             let mut res = Vec::new();
             for conj in tree_to_conj(q) {
-                if let Some(j) = materialize(self.query, inst, &conj, h) {
+                if let Some(j) = materialize(self.env.query, inst, &conj, h) {
                     // `j` extends `inst` by one materialized conjunction —
                     // the incremental hot path.
                     if self.consistent_step(inst, &j) {
@@ -1429,7 +1339,7 @@ impl Engine<'_> {
         inst: &CInstance,
         h: &Hom,
     ) -> Vec<CInstance> {
-        let d = self.query.var_domain(v);
+        let d = self.env.query.var_domain(v);
         let mut res = Vec::new();
         for e in inst.domain_pool(d).to_vec() {
             if self.stopped() {
@@ -1441,7 +1351,7 @@ impl Engine<'_> {
         }
         if !self.stopped() {
             let mut i2 = inst.clone();
-            let y = i2.fresh_null(self.query.var_name(v), d);
+            let y = i2.fresh_null(self.env.query.var_name(v), d);
             let mut g = h.clone();
             g[v.index()] = Some(Ent::Null(y));
             res.extend(self.bfs(body, &g, &i2));
@@ -1458,7 +1368,7 @@ impl Engine<'_> {
         inst: &CInstance,
         h: &Hom,
     ) -> Vec<CInstance> {
-        let d = self.query.var_domain(v);
+        let d = self.env.query.var_domain(v);
         let pool = inst.domain_pool(d).to_vec();
         let mut res: Vec<CInstance> = Vec::new();
         let mut ilist: Vec<CInstance> = vec![inst.clone()];
@@ -1482,11 +1392,11 @@ impl Engine<'_> {
         }
         // Lines 15–24: additionally require the body for a fresh null
         // (skipped by the EO variants — may lose completeness, §4.3).
-        if self.universal_fresh && !self.stopped() {
+        if self.env.universal_fresh && !self.stopped() {
             let mut cur = Vec::new();
             for j1 in &ilist {
                 let mut j = j1.clone();
-                let y = j.fresh_null(self.query.var_name(v), d);
+                let y = j.fresh_null(self.env.query.var_name(v), d);
                 let mut g = h.clone();
                 g[v.index()] = Some(Ent::Null(y));
                 cur.extend(self.bfs(body, &g, &j));
@@ -1718,16 +1628,17 @@ mod tests {
 
     #[test]
     fn max_results_short_circuits() {
-        let s = schema();
-        let q = parse_query(&s, "{ (b1) | exists d1 (Likes(d1, b1)) }").unwrap();
-        let cfg = ChaseConfig::with_limit(8).max_results(1);
-        let mut chase = Chase::new(&q, &cfg, true);
-        chase.run_root(
-            &q.formula.clone(),
-            CInstance::new(Arc::clone(&s)),
-            vec![None; q.vars.len()],
-        );
-        assert_eq!(chase.accepted.len(), 1);
+        // The cap cuts the accepted log exactly where an uncapped run's log
+        // reaches it: the capped log is the FIFO prefix of the full one.
+        let render = |insts: Vec<CInstance>| -> Vec<String> {
+            insts.iter().map(|i| format!("{i}")).collect()
+        };
+        let full = render(run(FORALL_DISJ, 8));
+        assert!(full.len() > 3, "want a log longer than the caps below");
+        for cap in [1, 3] {
+            let capped = render(run_with(FORALL_DISJ, &ChaseConfig::with_limit(8).max_results(cap)));
+            assert_eq!(capped, full[..cap], "cap {cap}");
+        }
     }
 
     #[test]
@@ -1797,13 +1708,16 @@ mod tests {
         a.share_l2 = true;
         let b = WorkerCtx::new(Arc::clone(&shared));
         let st = SaturatedState::saturate(&[], &[]).expect("empty state saturates");
-        let mut engine = Engine {
+        let env = SearchEnv {
             query: &q,
             cfg: &cfg,
             universal_fresh: true,
             deadline: None,
             cancel: None,
             query_key: 0,
+        };
+        let mut engine = Engine {
+            env: &env,
             ctx: &mut a,
         };
         engine.memoize_state(42, st);

@@ -54,6 +54,7 @@ pub mod stats;
 pub mod testgen;
 pub mod treesat;
 pub mod variants;
+mod visited;
 
 pub use chase::ChaseCaches;
 pub use config::{CancelToken, ChaseConfig, Variant};

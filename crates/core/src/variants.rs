@@ -128,14 +128,14 @@ fn run_variant_inner(
                 entries.push((inst.clone(), coverage, t));
                 observer(acc)
             };
-            drive_phases(&mut chase, tree, variant, &mut validate);
+            drive_phases(&mut chase, tree, variant, cfg, &mut validate);
             let raw = chase.accepted.len();
             (entries, raw)
         }
         None => {
             // Batch: drive with a no-op observer, then validate by moving
             // the accepted log (zero clones on the hot benchmark path).
-            drive_phases(&mut chase, tree, variant, &mut |_, _, _| true);
+            drive_phases(&mut chase, tree, variant, cfg, &mut |_, _, _| true);
             let accepted = std::mem::take(&mut chase.accepted);
             let raw = accepted.len();
             let mut entries = Vec::with_capacity(raw);
@@ -184,10 +184,10 @@ fn drive_phases(
     chase: &mut Chase<'_>,
     tree: &SyntaxTree,
     variant: Variant,
+    cfg: &ChaseConfig,
     observer: &mut dyn FnMut(&CInstance, std::time::Duration, Option<&Coverage>) -> bool,
 ) {
     let q = tree.query();
-    let cfg = chase.cfg;
     let formulas: Vec<Formula> = if variant.is_conjunctive() {
         conjunctive_trees(&q.formula)
     } else {

@@ -1,41 +1,34 @@
 //! # cqi-runtime
 //!
 //! Execution substrate for the chase: a work-stealing [`ResidentPool`]
-//! (std-only, no external deps) behind an [`Exec`] handle, a sharded
-//! concurrent duplicate-detection set keyed on isomorphism invariants, a
+//! (std-only, no external deps) behind an [`Exec`] handle, and a
 //! lock-striped shared memo ([`StripedMemo`]) for cross-worker
-//! solver-result sharing, and the sequential frontier [`drive`]r of
-//! Algorithm 1.
+//! solver-result sharing. The chase's own loop (Algorithm 1) and its
+//! `visited` set live in `cqi-core`.
 //!
 //! ## Determinism model
 //!
-//! Parallelism has one axis: whole independent frontier drives (the
-//! chase's root jobs) fan out over the pool, each driven FIFO on one
-//! worker context by [`drive`]. Expanding a candidate is a pure function of
-//! the candidate (memo state only affects speed), so a drive's accepted
-//! stream does not depend on which worker ran it, and [`Exec::run`] returns
-//! per-item results in item order — so callers merge results exactly as a
-//! one-by-one run would have produced them. See `cqi-core`'s
-//! `parallel_props.rs` for the property suites asserting sequential ≡
-//! parallel.
+//! Parallelism has one axis: whole independent root searches fan out over
+//! the pool, each run FIFO on one worker context. Expanding a candidate is
+//! a pure function of the candidate (memo state only affects speed), so a
+//! search's accepted stream does not depend on which worker ran it, and
+//! [`Exec::run`] returns per-item results in item order — so callers merge
+//! results exactly as a one-by-one run would have produced them. See
+//! `cqi-core`'s `parallel_props.rs` for the property suites asserting
+//! sequential ≡ parallel.
 //!
-//! [`ShardedDedupe`]'s sequence-priority protocol
-//! ([`ShardedDedupe::offer`] / [`ShardedDedupe::confirm`]) and
-//! [`WaveVisible`]'s boundary publication stay safe under concurrent
-//! callers, and `cqi-analysis` model-checks both.
+//! The pool's ticketed injector and the memo's first-writer-wins races
+//! are the crate's concurrent protocols; `cqi-analysis` model-checks both
+//! through the [`sync`] shim.
 
 #![deny(unsafe_code)]
 
-pub mod dedupe;
 pub mod memo;
 pub mod pool;
-pub mod scheduler;
 pub mod sync;
 
-pub use dedupe::{DedupeStats, Offer, SetKey, ShardedDedupe};
 pub use memo::{MemoCounts, MemoStats, StripedMemo};
 pub use pool::{Exec, ResidentPool, RunCounters, RunCounts};
-pub use scheduler::{drive, DriveStats, Expansion, FrontierTask, WaveVisible};
 
 /// Resolves a user-facing thread budget: `0` means "all available
 /// parallelism", anything else is taken literally (minimum 1).

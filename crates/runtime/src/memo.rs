@@ -1,12 +1,11 @@
 //! A lock-striped shared memo — the L2 tier behind the chase's per-worker
 //! L1 maps.
 //!
-//! PR 3 kept every solver memo worker-local, so parallel runs re-solved
-//! canonical subproblems a sibling worker had already answered.
-//! [`StripedMemo`] shares those answers across workers while keeping lock
-//! hold times tiny: entries are partitioned over independent mutexes by key
-//! hash (mirroring `ShardedDedupe`'s striping), each holding a plain
-//! `HashMap`. Values are returned **by clone** so no lock outlives a
+//! Worker-local memos alone make parallel runs re-solve canonical
+//! subproblems a sibling worker has already answered. [`StripedMemo`]
+//! shares those answers across workers while keeping lock hold times tiny:
+//! entries are partitioned over independent mutexes by key hash, each
+//! holding a plain `HashMap`. Values are returned **by clone** so no lock outlives a
 //! lookup.
 //!
 //! The memo is only sound for *speed-only* state: a stored value must be a

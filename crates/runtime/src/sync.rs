@@ -10,9 +10,9 @@
 //!
 //! Rules for runtime code:
 //!
-//! - `pool.rs`, `dedupe.rs`, and `memo.rs` must route **all**
-//!   synchronization through this module: `sync::Mutex`, `sync::Condvar`,
-//!   `sync::atomic::*`, `sync::thread::{spawn, scope}`.
+//! - `pool.rs` and `memo.rs` must route **all** synchronization through
+//!   this module: `sync::Mutex`, `sync::Condvar`, `sync::atomic::*`,
+//!   `sync::thread::{spawn, scope}`.
 //! - Pure *statistics* counters (never read back to make a control-flow
 //!   decision) use [`counter::Counter`], which is deliberately **not**
 //!   instrumented: branching schedules on observability counters would
