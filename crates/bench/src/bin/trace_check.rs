@@ -10,9 +10,8 @@
 //! 1. the file is well-formed JSON (`cqi_instance::json_well_formed`);
 //! 2. it contains at least one complete (`"ph": "X"`) `explain` span —
 //!    the per-request root;
-//! 3. at least one wave-level span (`wave` from the frontier driver, or
-//!    `nested_wave`/`root_job` from the chase) is time-contained in the
-//!    `explain` span;
+//! 3. at least one wave-level span (the chase's `wave`, `nested_wave` or
+//!    `root_job`) is time-contained in the `explain` span;
 //! 4. at least one solver-category span (`canonicalize`, `l1_lookup`,
 //!    `solve`, ...) is time-contained in the `explain` span.
 //!
@@ -86,8 +85,8 @@ fn field_num(obj: &str, key: &str) -> Option<f64> {
 }
 
 /// Span names that count as the wave level of the request → wave →
-/// solver nesting: the frontier driver's per-generation `wave`, and the
-/// chase's own `nested_wave`/`root_job` spans.
+/// solver nesting: the chase's per-generation `wave` of a root search,
+/// `nested_wave` of a nested one, and `root_job`.
 const WAVE_NAMES: [&str; 3] = ["wave", "nested_wave", "root_job"];
 
 /// Span names that count as solver work (the chase's phase-attributed

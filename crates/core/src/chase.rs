@@ -184,7 +184,9 @@ pub(crate) struct WorkerCtx {
     /// Memoized sub-BFS results keyed by (subtree, instance digest,
     /// relevant homomorphism entries). The recursion re-derives identical
     /// sub-searches constantly; this cache is the difference between
-    /// seconds and minutes on the harder difference queries.
+    /// seconds and minutes on the harder difference queries. The digest
+    /// ignores null names, so a hit is renamed for the seed it serves
+    /// ([`renamed_for_seed`]).
     bfs_memo: HashMap<(u64, u64, u64), Vec<CInstance>>,
     /// Memoized `IsConsistent` answers by instance digest.
     consist_memo: HashMap<u64, bool>,
@@ -700,6 +702,36 @@ impl<'a> Chase<'a> {
 
 }
 
+/// A memoized sub-BFS result, renamed for the seed `i0` it is reused
+/// under. The memo key's [`exact_digest`] ignores null names, so the entry
+/// may have been computed from a seed of identical structure whose nulls
+/// carry other names (`x1, t1` where `i0` has `x2, t2`). Seed nulls take
+/// `i0`'s names; every later null trims its trailing `'` and is primed
+/// again against the names before it, exactly as
+/// [`CInstance::fresh_null`] would have named it in a search from `i0`.
+/// DRC identifiers cannot contain `'`, so the trim recovers the base name.
+fn renamed_for_seed(res: &CInstance, i0: &CInstance) -> CInstance {
+    let mut r = res.clone();
+    let seed = i0.num_nulls();
+    if r.nulls[..seed].iter().zip(&i0.nulls).all(|(a, b)| a.name == b.name) {
+        // Same seed names: the search from `i0` named every later null the
+        // same way.
+        return r;
+    }
+    for k in 0..r.nulls.len() {
+        if k < seed {
+            r.nulls[k].name.clone_from(&i0.nulls[k].name);
+        } else if !r.nulls[k].dont_care {
+            let mut name = r.nulls[k].name.trim_end_matches('\'').to_owned();
+            while r.nulls[..k].iter().any(|n| n.name == name) {
+                name.push('\'');
+            }
+            r.nulls[k].name = name;
+        }
+    }
+    r
+}
+
 /// Lines 2–5 of Algorithm 1: bind unbound free variables to fresh labeled
 /// nulls.
 fn bind_free_vars(
@@ -1157,7 +1189,7 @@ impl Engine<'_> {
         };
         let key = (fkey, ikey, hkey);
         if let Some(cached) = self.ctx.bfs_memo.get(&key) {
-            return cached.clone();
+            return cached.iter().map(|r| renamed_for_seed(r, i0)).collect();
         }
         let res = self.bfs_inner(q, h0, i0);
         // Results truncated by timeout/cancellation must not poison the
@@ -1726,6 +1758,53 @@ mod tests {
         assert!(!b.sat_memo.contains_key(&42));
         assert!(b.shared.sat.get(&42).is_some());
         assert_eq!(shared.sat.stats.snapshot().hits, 1);
+    }
+
+    #[test]
+    fn bfs_memo_hit_is_renamed_for_the_seed() {
+        // Two seeds of identical structure (same digest) whose second null
+        // is named differently: in seed `a` the ∃-branch's fresh `x1`
+        // collides and is primed, in seed `b` it is not. A memo hit on `b`
+        // after a search from `a` must return what a cold search from `b`
+        // does, names included.
+        let s = schema();
+        let q = parse_query(&s, "{ (b1) | exists x1, p1 (Serves(x1, b1, p1)) }").unwrap();
+        let serves = s.rel_id("Serves").unwrap();
+        let b1 = q.vars.iter().position(|v| v.name == "b1").unwrap();
+        let seed = |other: &str| {
+            let mut i = CInstance::new(Arc::clone(&s));
+            let beer = i.fresh_null("b1", s.attr_domain(serves, 1));
+            i.fresh_null(other, s.attr_domain(serves, 0));
+            (i, beer)
+        };
+        let (a, beer) = seed("x1");
+        let (b, _) = seed("z9");
+        assert_eq!(exact_digest(&a), exact_digest(&b));
+        let mut h0: Hom = vec![None; q.vars.len()];
+        h0[b1] = Some(Ent::Null(beer));
+        let cfg = ChaseConfig::with_limit(4);
+        let env = SearchEnv {
+            query: &q,
+            cfg: &cfg,
+            universal_fresh: true,
+            deadline: None,
+            cancel: None,
+            query_key: 0,
+        };
+        let render = |r: Vec<CInstance>| -> Vec<String> { r.iter().map(|i| format!("{i}")).collect() };
+        let cold = |seed: &CInstance| {
+            let mut ctx = WorkerCtx::new(Arc::default());
+            render(Engine { env: &env, ctx: &mut ctx }.bfs(&q.formula, &h0, seed))
+        };
+        let mut ctx = WorkerCtx::new(Arc::default());
+        let mut engine = Engine { env: &env, ctx: &mut ctx };
+        let from_a = render(engine.bfs(&q.formula, &h0, &a));
+        let entries = engine.ctx.bfs_memo.len();
+        let hit = render(engine.bfs(&q.formula, &h0, &b));
+        assert_eq!(engine.ctx.bfs_memo.len(), entries, "the search from `b` must hit");
+        assert_ne!(from_a, cold(&b), "the seeds' results must render differently");
+        assert!(from_a.iter().any(|r| r.contains("x1'")), "{from_a:?}");
+        assert_eq!(hit, cold(&b));
     }
 
     /// A disjunctive query: its `Conj-*` trees are three root jobs.

@@ -104,7 +104,8 @@ chase_stats! {
         series("cqi_chase_steals_total", "work-stealing queue steals", []);
     /// Root-job fan-out batches dispatched to the resident pool.
     resident_batches: u64 = run, json "resident_batches";
-    /// Duplicate-detection offers across all drives.
+    /// `visited` offers of the root searches (nested searches are not
+    /// counted).
     dedupe_offers: u64 = run, json "dedupe_offers",
         series("cqi_dedupe_offers_total", "iso-dedupe offers", []);
     /// Offers rejected as duplicates.
