@@ -48,6 +48,8 @@ pub mod conjtree;
 pub mod cover;
 pub mod cqneg;
 pub mod dnf;
+#[cfg(test)]
+mod scheduler;
 pub mod session;
 pub mod solution;
 pub mod stats;
