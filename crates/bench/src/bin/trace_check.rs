@@ -91,15 +91,14 @@ const WAVE_NAMES: [&str; 3] = ["wave", "nested_wave", "root_job"];
 
 /// Span names that count as solver work (the chase's phase-attributed
 /// leaves plus the solver crate's own trace-only spans).
-const SOLVER_NAMES: [&str; 9] = [
+const SOLVER_NAMES: [&str; 8] = [
+    "tree_sat",
     "canonicalize",
     "l1_lookup",
     "l2_lookup",
     "solve",
-    "incremental_extend",
     "full_check",
     "dpll_solve",
-    "solve_order",
     "check_conj",
 ];
 
@@ -195,6 +194,16 @@ mod tests {
         let errs =
             validate(r#"{"traceEvents": [{"ph": "X", "name": "wave", "ts": 0, "dur": 1}]}"#);
         assert!(errs[0].contains("explain"));
+    }
+
+    #[test]
+    fn tree_sat_counts_as_solver_work() {
+        let text = r#"{"traceEvents": [
+          {"ph": "X", "name": "explain", "ts": 0, "dur": 100},
+          {"ph": "X", "name": "wave", "ts": 10, "dur": 50},
+          {"ph": "X", "name": "tree_sat", "ts": 20, "dur": 10}
+        ]}"#;
+        assert!(validate(text).is_empty());
     }
 
     #[test]

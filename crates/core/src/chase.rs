@@ -18,7 +18,7 @@
 //! set (`crate::visited::Visited`, keyed on the renaming-invariant
 //! signature and the [`exact_digest`]) with the nested searches. Expanding a
 //! candidate is a pure function of the candidate — all mutable state
-//! ([`WorkerCtx`]: solver memos, saturated states, sub-BFS results) only
+//! ([`WorkerCtx`]: solver memos, sub-BFS results) only
 //! affects speed — so a root's accepted stream does not depend on which
 //! worker drove it. Parallelism has exactly one axis: multi-root runs (the
 //! `Conj-*` tree sets and the `*-Add` re-seeds) fan whole root searches out
@@ -35,13 +35,11 @@ use std::time::{Duration, Instant};
 
 use cqi_drc::{Atom, Coverage, Formula, Query, Term, VarId};
 use cqi_obs::trace::{self, Phase};
-use cqi_instance::consistency::{
-    conj_lits, is_consistent, is_consistent_cached, is_pure_conjunctive, to_problem,
-};
+use cqi_instance::consistency::{is_consistent_cached, to_problem};
 use cqi_instance::{digest_stats, exact_digest, subsumes, CInstance, Cond};
 use cqi_runtime::{Exec, ResidentPool, RunCounters, StripedMemo};
 use cqi_solver::canon::{canonicalize, CanonKey};
-use cqi_solver::{Ent, Lit, Model, SaturatedState, SolverCache};
+use cqi_solver::{Ent, Model, SolverCache};
 
 use crate::config::{CancelToken, ChaseConfig};
 use crate::conjtree::expand_disj_node;
@@ -50,10 +48,6 @@ use crate::dnf::{has_quantifier, tree_to_conj};
 use crate::stats::ChaseStats;
 use crate::treesat::{atom_to_lit, Hom, SatCtx};
 use crate::visited::Visited;
-
-/// Bound on retained saturated states (each is small — vectors over the
-/// instance's nulls/literals — but runs can visit millions of instances).
-const SAT_MEMO_CAP: usize = 200_000;
 
 /// Entry bound of the shared (L2) canonical-problem memo — larger than one
 /// worker's L1 capacity because it serves every worker of a session.
@@ -108,26 +102,17 @@ fn nested_subsumed(
     false
 }
 
-/// The shared (L2) tier behind every worker's L1 memos: lock-striped maps
-/// holding solver answers that are pure functions of their keys, so a
-/// worker can reuse what a sibling already computed. An L1 miss checks
-/// here before solving; a fresh decision is published here as well as to
-/// the worker's own L1.
-pub(crate) struct SharedMemos {
-    /// Canonical-problem outcomes in canonical space (`None` = unsat) —
-    /// the shared tier over [`SolverCache`]'s per-worker map.
-    solver: StripedMemo<CanonKey, Option<Model>>,
-    /// Saturated theory states by [`state_key`] — the shared tier over the
-    /// per-worker `sat_memo`.
-    sat: StripedMemo<u64, SaturatedState>,
-}
+/// The shared (L2) tier behind every worker's L1 solver memo: a
+/// lock-striped map of canonical-problem outcomes in canonical space
+/// (`None` = unsat). Outcomes are pure functions of their keys, so a worker
+/// can reuse what a sibling already computed. An L1 miss checks here before
+/// solving; a fresh decision is published here as well as to the worker's
+/// own L1.
+pub(crate) struct SharedMemo(StripedMemo<CanonKey, Option<Model>>);
 
-impl Default for SharedMemos {
-    fn default() -> SharedMemos {
-        SharedMemos {
-            solver: StripedMemo::new(MEMO_STRIPES, SHARED_SOLVER_CAP),
-            sat: StripedMemo::new(MEMO_STRIPES, SAT_MEMO_CAP),
-        }
+impl Default for SharedMemo {
+    fn default() -> SharedMemo {
+        SharedMemo(StripedMemo::new(MEMO_STRIPES, SHARED_SOLVER_CAP))
     }
 }
 
@@ -166,15 +151,6 @@ fn hash_of<T: Hash>(t: &T) -> u64 {
     h.finish()
 }
 
-/// Key for the saturated-state memo, derived from an already-computed
-/// [`exact_digest`]. Unlike the digest alone (which is blind to nulls that
-/// appear in no tuple/condition), this includes the null *type* vector: a
-/// [`SaturatedState`] depends on every null's domain type, so instances
-/// differing only in an unused null's type must not share a state.
-fn state_key(digest: u64, inst: &CInstance) -> u64 {
-    hash_of(&(digest, inst.null_types()))
-}
-
 /// Per-worker mutable chase state: every memo the search consults, plus the
 /// worker-local slice of the run counters. None of it changes *answers* —
 /// only how fast they are reached — which is what makes frontier candidates
@@ -191,31 +167,17 @@ pub(crate) struct WorkerCtx {
     /// Memoized `IsConsistent` answers by instance digest.
     consist_memo: HashMap<u64, bool>,
     /// Canonical-problem memo: isomorphic subproblems (renamed nulls, extra
-    /// unconstrained nulls) are decided once (`cfg.solver_cache`).
+    /// unconstrained nulls) are decided once.
     solver_cache: SolverCache,
-    /// Saturated theory state per (pure-conjunctive) instance digest,
-    /// extended by delta literals on single chase steps
-    /// (`cfg.incremental`).
-    sat_memo: HashMap<u64, SaturatedState>,
-    /// The session's shared (L2) memo tier behind `solver_cache` and
-    /// `sat_memo`.
-    shared: Arc<SharedMemos>,
+    /// The session's shared (L2) memo tier behind `solver_cache`.
+    shared: Arc<SharedMemo>,
     /// Whether this run consults/feeds the L2 tier (multi-thread runs
     /// only — a lone worker has no sibling to share with, so L2 traffic
     /// would be pure overhead).
     share_l2: bool,
-    /// `sat_memo` lookups that hit / missed (the L1 side of the tiered
-    /// saturated-state memo).
-    sat_l1_hits: u64,
-    sat_l1_misses: u64,
-    /// Chase steps decided by extending the parent's saturated state.
-    incr_extends: usize,
     /// Nested-BFS results dropped by the subsumption cut (each one skipped
     /// the downstream chases it would have seeded — a whole subtree).
     subsumed: u64,
-    /// Chase steps that fell back to the full check (keys, negative
-    /// conditions, or no reusable parent state).
-    incr_fallbacks: usize,
     /// This worker observed the wall-clock deadline.
     timed_out: bool,
     /// This worker observed a fired [`CancelToken`].
@@ -223,19 +185,14 @@ pub(crate) struct WorkerCtx {
 }
 
 impl WorkerCtx {
-    fn new(shared: Arc<SharedMemos>) -> WorkerCtx {
+    fn new(shared: Arc<SharedMemo>) -> WorkerCtx {
         WorkerCtx {
             bfs_memo: HashMap::new(),
             consist_memo: HashMap::new(),
             solver_cache: SolverCache::default(),
-            sat_memo: HashMap::new(),
             shared,
             share_l2: false,
-            sat_l1_hits: 0,
-            sat_l1_misses: 0,
-            incr_extends: 0,
             subsumed: 0,
-            incr_fallbacks: 0,
             timed_out: false,
             cancelled: false,
         }
@@ -247,10 +204,9 @@ impl WorkerCtx {
 /// `limit` (pruning inside `bfs_inner`) and on `universal_fresh`
 /// (`Handle-Universal`'s fresh-null branch), and consistency answers
 /// depend on `enforce_keys` — so entries are only reusable by a run with
-/// the *same* triple. The canonical-problem memo and the saturated-state
-/// snapshots are parameter-independent (the canonical problem encodes the
-/// key clauses; a saturated state derives purely from literals) and stay
-/// warm across any parameter change.
+/// the *same* triple. The canonical-problem memo is parameter-independent
+/// (the canonical problem encodes the key clauses) and stays warm across
+/// any parameter change.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct CacheParams {
     limit: usize,
@@ -263,13 +219,13 @@ struct CacheParams {
     schema: usize,
 }
 
-/// Opaque, reusable chase worker state: the solver memos, saturated-state
-/// snapshots, and sub-BFS caches of every worker context. All of it is
-/// *speed-only* state (it never changes answers — the invariant the
-/// parallel runtime already relies on), and none of it depends on the
-/// query, only on the schema's instances, so a `cqi::Session` keeps one
-/// across explain calls: repeated or similar queries over one schema hit
-/// warm caches instead of re-deriving every `IsConsistent` answer.
+/// Opaque, reusable chase worker state: the solver memos and sub-BFS caches
+/// of every worker context. All of it is *speed-only* state (it never
+/// changes answers — the invariant the parallel runtime already relies
+/// on), and none of it depends on the query, only on the schema's
+/// instances, so a `cqi::Session` keeps one across explain calls: repeated
+/// or similar queries over one schema hit warm caches instead of
+/// re-deriving every `IsConsistent` answer.
 /// Memos whose entries *are* sensitive to run parameters are fingerprinted
 /// by [`CacheParams`] and cleared when a reusing run differs.
 #[derive(Default)]
@@ -277,7 +233,7 @@ pub struct ChaseCaches {
     ctxs: Vec<WorkerCtx>,
     params: Option<CacheParams>,
     /// The shared (L2) memo tier every worker context points at.
-    shared: Arc<SharedMemos>,
+    shared: Arc<SharedMemo>,
     /// The session's resident worker pool, spawned once (lazily, on the
     /// first parallel run) and reused by every subsequent run. `None`
     /// until then — pool-less chases run every root job inline.
@@ -414,7 +370,7 @@ pub struct Chase<'a> {
     /// [`ChaseCaches::ensure_pool`]); `None` runs root jobs inline.
     pool: Option<Arc<ResidentPool>>,
     /// The shared (L2) memo tier, for the stats snapshot.
-    shared: Arc<SharedMemos>,
+    shared: Arc<SharedMemo>,
     /// Steal/batch counters of this run's fan-outs.
     run_counters: RunCounters,
     /// Totals over this run's root searches.
@@ -539,18 +495,13 @@ impl<'a> Chase<'a> {
             dedupe_offers: self.roots.offers,
             dedupe_duplicates: self.roots.duplicates,
             dedupe_iso_checks: self.roots.iso_checks,
-            solver_l2: self.shared.solver.stats.snapshot(),
-            sat_l2: self.shared.sat.stats.snapshot(),
+            solver_l2: self.shared.0.stats.snapshot(),
             ..ChaseStats::default()
         };
         for c in &self.ctxs {
             s.subsumed_subtrees += c.subsumed;
             s.solver_l1_hits += c.solver_cache.stats.hits;
             s.solver_l1_misses += c.solver_cache.stats.misses;
-            s.sat_l1_hits += c.sat_l1_hits;
-            s.sat_l1_misses += c.sat_l1_misses;
-            s.incr_extends += c.incr_extends as u64;
-            s.incr_fallbacks += c.incr_fallbacks as u64;
         }
         s
     }
@@ -945,123 +896,53 @@ impl Engine<'_> {
         ans
     }
 
-    /// `IsConsistent` for a chase step `parent → child`. The child's
-    /// problem is canonicalized once and looked up in the solver memo; on a
-    /// miss, the parent's saturated theory state is extended with the
-    /// step's delta literals (much cheaper than a fresh solve) and the
-    /// answer is inserted into the memo so isomorphic siblings hit. The
-    /// extension soundly falls back to a full solve whenever the step
-    /// touches keys or negative conditions (or no parent state is
-    /// reusable).
-    fn consistent_step(&mut self, parent: &CInstance, child: &CInstance) -> bool {
+    /// `IsConsistent` for a chase step's child. The problem is
+    /// canonicalized once and looked up in the worker's L1 solver memo,
+    /// then in the shared L2 tier (multi-thread runs only); a miss in both
+    /// is solved and published to both, so isomorphic siblings hit.
+    fn consistent_step(&mut self, child: &CInstance) -> bool {
         let key = exact_digest(child);
         if let Some(v) = self.ctx.consist_memo.get(&key) {
             return *v;
         }
         consistency_checks_metric().inc();
-        let ans = if self.env.cfg.solver_cache {
-            let canon = {
-                let _s = trace::span_phase("canonicalize", "solver", Phase::Canon);
-                let problem = to_problem(child, self.env.cfg.enforce_keys);
-                canonicalize(&problem)
-            };
-            let l1 = {
-                let _s = trace::span_phase("l1_lookup", "solver", Phase::Solver);
-                self.ctx.solver_cache.lookup_sat(&canon)
-            };
-            match l1 {
-                Some(sat) => sat,
-                // L1 miss → consult the shared L2 tier (multi-thread runs
-                // only): a sibling worker may already have decided an
-                // isomorphic step. L2 stores canonical-space outcomes, so a
-                // hit back-fills L1 directly.
-                None => {
-                    let l2 = {
-                        let _s = trace::span_phase("l2_lookup", "solver", Phase::Solver);
-                        self.ctx
-                            .share_l2
-                            .then(|| self.ctx.shared.solver.get(&canon.key))
-                            .flatten()
-                    };
-                    match l2 {
-                        Some(result) => {
-                            let sat = result.is_some();
-                            self.ctx.solver_cache.insert_canonical(canon.key.clone(), result);
-                            sat
-                        }
-                        None => {
-                            let incr = {
-                                let _s = trace::span_phase(
-                                    "incremental_extend",
-                                    "solver",
-                                    Phase::Solver,
-                                );
-                                self.incremental_check(parent, child)
-                            };
-                            match incr {
-                                Some(ext) => {
-                                    self.ctx.incr_extends += 1;
-                                    // Canonical-space outcome is a pure function of
-                                    // the key, so publishing to L2 is race-benign
-                                    // (first writer wins, all writers agree).
-                                    let result =
-                                        ext.as_ref().map(|st| canon.model_to_canon(st.model()));
-                                    if self.ctx.share_l2 {
-                                        self.ctx
-                                            .shared
-                                            .solver
-                                            .insert(canon.key.clone(), result.clone());
-                                    }
-                                    self.ctx
-                                        .solver_cache
-                                        .insert_canonical(canon.key.clone(), result);
-                                    match ext {
-                                        Some(st) => {
-                                            self.memoize_state(state_key(key, child), st);
-                                            true
-                                        }
-                                        None => false,
-                                    }
-                                }
-                                None => {
-                                    self.ctx.incr_fallbacks += 1;
-                                    let _s = trace::span_phase("solve", "solver", Phase::Solver);
-                                    let sat =
-                                        self.ctx.solver_cache.solve_canonical(&canon).is_sat();
-                                    if self.ctx.share_l2 {
-                                        if let Some(result) =
-                                            self.ctx.solver_cache.peek_canonical(&canon.key)
-                                        {
-                                            self.ctx.shared.solver.insert(canon.key.clone(), result);
-                                        }
-                                    }
-                                    sat
-                                }
+        let canon = {
+            let _s = trace::span_phase("canonicalize", "solver", Phase::Canon);
+            let problem = to_problem(child, self.env.cfg.enforce_keys);
+            canonicalize(&problem)
+        };
+        let l1 = {
+            let _s = trace::span_phase("l1_lookup", "solver", Phase::Solver);
+            self.ctx.solver_cache.lookup_sat(&canon)
+        };
+        let ans = match l1 {
+            Some(sat) => sat,
+            None => {
+                // L2 stores canonical-space outcomes, so a hit back-fills
+                // L1 directly.
+                let l2 = {
+                    let _s = trace::span_phase("l2_lookup", "solver", Phase::Solver);
+                    self.ctx.share_l2.then(|| self.ctx.shared.0.get(&canon.key)).flatten()
+                };
+                match l2 {
+                    Some(result) => {
+                        let sat = result.is_some();
+                        self.ctx.solver_cache.insert_canonical(canon.key.clone(), result);
+                        sat
+                    }
+                    None => {
+                        let _s = trace::span_phase("solve", "solver", Phase::Solver);
+                        let sat = self.ctx.solver_cache.solve_canonical(&canon).is_sat();
+                        // The canonical-space outcome is a pure function of
+                        // the key, so publishing to L2 is race-benign (first
+                        // writer wins, all writers agree).
+                        if self.ctx.share_l2 {
+                            if let Some(result) = self.ctx.solver_cache.peek_canonical(&canon.key) {
+                                self.ctx.shared.0.insert(canon.key.clone(), result);
                             }
                         }
+                        sat
                     }
-                }
-            }
-        } else {
-            let incr = {
-                let _s = trace::span_phase("incremental_extend", "solver", Phase::Solver);
-                self.incremental_check(parent, child)
-            };
-            match incr {
-                Some(ext) => {
-                    self.ctx.incr_extends += 1;
-                    match ext {
-                        Some(st) => {
-                            self.memoize_state(state_key(key, child), st);
-                            true
-                        }
-                        None => false,
-                    }
-                }
-                None => {
-                    self.ctx.incr_fallbacks += 1;
-                    let _s = trace::span_phase("solve", "solver", Phase::Solver);
-                    is_consistent(child, self.env.cfg.enforce_keys)
                 }
             }
         };
@@ -1069,105 +950,18 @@ impl Engine<'_> {
         ans
     }
 
-    /// From-scratch `IsConsistent`, through the canonical-problem memo when
-    /// enabled. (Attributed wholesale to the solver phase: canonicalization
-    /// happens inside the cached path and can't be split out here.)
+    /// From-scratch `IsConsistent` through the canonical-problem memo.
+    /// (Attributed wholesale to the solver phase: canonicalization happens
+    /// inside the cached path and can't be split out here.)
     fn full_check(&mut self, inst: &CInstance) -> bool {
         consistency_checks_metric().inc();
         let _s = trace::span_phase("full_check", "solver", Phase::Solver);
-        if self.env.cfg.solver_cache {
-            is_consistent_cached(inst, self.env.cfg.enforce_keys, &mut self.ctx.solver_cache)
-        } else {
-            is_consistent(inst, self.env.cfg.enforce_keys)
-        }
+        is_consistent_cached(inst, self.env.cfg.enforce_keys, &mut self.ctx.solver_cache)
     }
 
     fn memoize_consistency(&mut self, key: u64, ans: bool) {
         if self.ctx.consist_memo.len() < 1_000_000 {
             self.ctx.consist_memo.insert(key, ans);
-        }
-    }
-
-    /// The incremental path. Outer `None` means "not eligible — run the
-    /// full check"; `Some(ext)` is a definitive answer obtained by
-    /// extending the parent's [`SaturatedState`] with the delta:
-    /// `Some(state)` when consistent, `None` when the delta is refuted (the
-    /// parent state is untouched — rollback by persistence).
-    ///
-    /// Eligibility (soundness): the child's problem must be a pure
-    /// conjunction — every negated atom ranges over an empty table and no
-    /// enforced key sees two rows — and the child's global condition must
-    /// extend the parent's. Then `IsConsistent(child)` is exactly
-    /// `parent-conjunction ∧ delta`, which the saturated state decides.
-    fn incremental_check(
-        &mut self,
-        parent: &CInstance,
-        child: &CInstance,
-    ) -> Option<Option<SaturatedState>> {
-        if !self.env.cfg.incremental {
-            return None;
-        }
-        // Below this size a fresh solve is cheaper than state bookkeeping.
-        if parent.global.len() < self.env.cfg.incremental_min_lits {
-            return None;
-        }
-        if !is_pure_conjunctive(child, self.env.cfg.enforce_keys) {
-            return None;
-        }
-        if child.global.len() < parent.global.len()
-            || child.global[..parent.global.len()] != parent.global[..]
-        {
-            return None;
-        }
-        let parent_key = state_key(exact_digest(parent), parent);
-        let mut seeded: Option<SaturatedState> = None;
-        if self.ctx.sat_memo.contains_key(&parent_key) {
-            self.ctx.sat_l1_hits += 1;
-        } else {
-            self.ctx.sat_l1_misses += 1;
-            let st = match self
-                .ctx
-                .share_l2
-                .then(|| self.ctx.shared.sat.get(&parent_key))
-                .flatten()
-            {
-                // A sibling worker already saturated this parent state.
-                Some(st) => st,
-                None => {
-                    // Child purity implies parent purity (tables and
-                    // conditions only grow), so the parent's conjunction
-                    // seeds a state. A `None` here means the parent itself
-                    // is inconsistent; fall back (the caller's full check
-                    // will agree).
-                    debug_assert!(is_pure_conjunctive(parent, self.env.cfg.enforce_keys));
-                    SaturatedState::saturate(&parent.null_types(), &conj_lits(&parent.global))?
-                }
-            };
-            seeded = Some(st);
-        }
-        let parent_state = match &seeded {
-            Some(st) => st,
-            None => &self.ctx.sat_memo[&parent_key],
-        };
-        // The delta reduces through the same logic as a whole instance
-        // (`NotIn` over an empty table is vacuous, exactly as in
-        // `to_problem`).
-        let delta: Vec<Lit> = conj_lits(&child.global[parent.global.len()..]);
-        let extended = parent_state.extend(&child.null_types(), &delta);
-        if let Some(st) = seeded {
-            self.memoize_state(parent_key, st);
-        }
-        Some(extended)
-    }
-
-    fn memoize_state(&mut self, key: u64, st: SaturatedState) {
-        // Saturated states are deterministic functions of the key, so the
-        // shared tier's first-writer-wins races are benign.
-        if self.ctx.share_l2 {
-            self.ctx.shared.sat.insert(key, st.clone());
-        }
-        if self.ctx.sat_memo.len() < SAT_MEMO_CAP {
-            self.ctx.sat_memo.insert(key, st);
         }
     }
 
@@ -1281,7 +1075,11 @@ impl Engine<'_> {
         // Handle-Universal merge would accept bodies satisfied by some
         // other entity) ∧ IsConsistent(I).
         let ctx = SatCtx::new(self.env.query, inst, self.env.cfg.enforce_keys);
-        if ctx.tree_sat(q, h0) && self.consistent(inst) {
+        let sat = {
+            let _s = trace::span_phase("tree_sat", "solver", Phase::Solver);
+            ctx.tree_sat(q, h0)
+        };
+        if sat && self.consistent(inst) {
             return (true, Vec::new());
         }
         // Lines 16–19: expand.
@@ -1305,9 +1103,7 @@ impl Engine<'_> {
             let mut res = Vec::new();
             for conj in tree_to_conj(q) {
                 if let Some(j) = materialize(self.env.query, inst, &conj, h) {
-                    // `j` extends `inst` by one materialized conjunction —
-                    // the incremental hot path.
-                    if self.consistent_step(inst, &j) {
+                    if self.consistent_step(&j) {
                         res.push(j);
                     }
                 }
@@ -1522,7 +1318,8 @@ pub fn materialize(
 mod tests {
     use super::*;
     use cqi_drc::parse_query;
-    use cqi_schema::{DomainType, Schema};
+    use cqi_schema::{DomainType, Schema, Value};
+    use cqi_solver::{Lit, SolverOp};
     use std::sync::Arc;
 
     fn schema() -> Arc<Schema> {
@@ -1729,17 +1526,13 @@ mod tests {
 
     #[test]
     fn shared_l2_entries_cross_worker_boundaries() {
-        // White-box: a state published through one worker's memoize path
-        // is visible to a *different* worker context wired to the same
-        // shared tier — the mechanism behind cross-worker memo reuse.
+        // White-box: a step decided by one worker is published to the
+        // shared solver tier, and a *different* worker context wired to the
+        // same tier answers the same step from it — the mechanism behind
+        // cross-worker memo reuse.
         let s = schema();
         let q = parse_query(&s, "{ (b1) | exists d1 (Likes(d1, b1)) }").unwrap();
         let cfg = ChaseConfig::with_limit(4);
-        let shared = Arc::new(SharedMemos::default());
-        let mut a = WorkerCtx::new(Arc::clone(&shared));
-        a.share_l2 = true;
-        let b = WorkerCtx::new(Arc::clone(&shared));
-        let st = SaturatedState::saturate(&[], &[]).expect("empty state saturates");
         let env = SearchEnv {
             query: &q,
             cfg: &cfg,
@@ -1748,16 +1541,26 @@ mod tests {
             cancel: None,
             query_key: 0,
         };
-        let mut engine = Engine {
-            env: &env,
-            ctx: &mut a,
-        };
-        engine.memoize_state(42, st);
-        assert_eq!(shared.sat.stats.snapshot().inserts, 1);
-        // B has never seen the key in its own L1 yet hits the shared tier.
-        assert!(!b.sat_memo.contains_key(&42));
-        assert!(b.shared.sat.get(&42).is_some());
-        assert_eq!(shared.sat.stats.snapshot().hits, 1);
+        let serves = s.rel_id("Serves").unwrap();
+        let mut child = CInstance::new(Arc::clone(&s));
+        let row: Vec<Ent> = (0..3)
+            .map(|col| Ent::Null(child.fresh_null("v", s.attr_domain(serves, col))))
+            .collect();
+        child.add_cond(Cond::Lit(Lit::cmp(row[2].clone(), SolverOp::Gt, Value::real(2.0))));
+        child.add_tuple(serves, row);
+        let shared = Arc::new(SharedMemo::default());
+        let mut a = WorkerCtx::new(Arc::clone(&shared));
+        a.share_l2 = true;
+        let mut b = WorkerCtx::new(Arc::clone(&shared));
+        b.share_l2 = true;
+        assert!(Engine { env: &env, ctx: &mut a }.consistent_step(&child));
+        assert_eq!(shared.0.stats.snapshot().inserts, 1);
+        // B has never seen the step in its own L1 yet hits the shared tier,
+        // which back-fills its L1.
+        assert!(Engine { env: &env, ctx: &mut b }.consistent_step(&child));
+        assert_eq!(shared.0.stats.snapshot().hits, 1);
+        assert_eq!(shared.0.stats.snapshot().inserts, 1, "a hit publishes nothing");
+        assert_eq!((b.solver_cache.stats.misses, b.solver_cache.len()), (1, 1));
     }
 
     #[test]
@@ -1849,7 +1652,7 @@ mod tests {
             "multi-thread session runs must fan out through the resident pool"
         );
         assert!(
-            stats.solver_l2.inserts + stats.sat_l2.inserts > 0,
+            stats.solver_l2.inserts > 0,
             "multi-thread runs must publish decided steps to the shared tier"
         );
         assert!(stats.dedupe_offers > 0);
@@ -1861,7 +1664,6 @@ mod tests {
         let st2 = chase2.stats();
         assert_eq!(st2.solver_l1_hits + st2.solver_l1_misses, 0);
         assert_eq!(st2.solver_l2.inserts, 0);
-        assert_eq!(st2.sat_l2.inserts, 0);
         assert_eq!(st2.waves, 0);
         // A 1-thread single-root run counts its waves too.
         let (_, st1) = stats_run(DISJ, &ChaseConfig::with_limit(7));

@@ -112,23 +112,6 @@ pub struct ChaseConfig {
     pub enforce_keys: bool,
     /// Optional cap on accepted satisfying instances (before minimization).
     pub max_results: Option<usize>,
-    /// Memoize solver outcomes on canonicalized problems
-    /// ([`cqi_solver::SolverCache`]), so structurally isomorphic
-    /// `IsConsistent` subproblems are decided once per chase run. Each
-    /// worker's memo holds `cqi_solver::cache::DEFAULT_CACHE_CAPACITY`
-    /// entries, LRU-evicted.
-    pub solver_cache: bool,
-    /// Reuse the parent instance's saturated theory state
-    /// ([`cqi_solver::SaturatedState`]) when a chase step adds one tuple or
-    /// condition to a pure-conjunctive instance, instead of re-running the
-    /// full check from scratch. Falls back to the full check whenever the
-    /// step touches keys or negative conditions.
-    pub incremental: bool,
-    /// Minimum parent global-condition size before the incremental path
-    /// engages: extending a saturated state beats a fresh solve once the
-    /// parent conjunction is sizable, while tiny problems solve faster
-    /// than the state bookkeeping costs.
-    pub incremental_min_lits: usize,
     /// Thread budget for root-job fan-out (`cqi-runtime`): `1` (the
     /// default) runs every root search in turn on the calling thread, `0`
     /// uses all available parallelism, `n > 1` runs the independent root
@@ -174,9 +157,6 @@ impl ChaseConfig {
             universal_fresh_nulls: None,
             enforce_keys: false,
             max_results: None,
-            solver_cache: true,
-            incremental: true,
-            incremental_min_lits: 6,
             threads: 1,
             cancel: None,
             subsume_prune: false,
@@ -196,21 +176,6 @@ impl ChaseConfig {
 
     pub fn max_results(mut self, n: usize) -> ChaseConfig {
         self.max_results = Some(n);
-        self
-    }
-
-    pub fn solver_cache(mut self, on: bool) -> ChaseConfig {
-        self.solver_cache = on;
-        self
-    }
-
-    pub fn incremental(mut self, on: bool) -> ChaseConfig {
-        self.incremental = on;
-        self
-    }
-
-    pub fn incremental_min_lits(mut self, n: usize) -> ChaseConfig {
-        self.incremental_min_lits = n;
         self
     }
 
@@ -271,10 +236,6 @@ mod tests {
         assert_eq!(c.timeout, Some(Duration::from_secs(5)));
         assert!(c.enforce_keys);
         assert_eq!(c.max_results, Some(3));
-        // Cache and incrementality default on.
-        assert!(c.solver_cache && c.incremental);
-        let cold = c.solver_cache(false).incremental(false);
-        assert!(!cold.solver_cache && !cold.incremental);
     }
 
     #[test]

@@ -122,21 +122,12 @@ chase_stats! {
     solver_l2: MemoCounts = run,
         series("cqi_solver_memo_lookups_total", MEMO_LOOKUPS, [tier = "l2", outcome = "hit"]).hits,
         series("cqi_solver_memo_lookups_total", MEMO_LOOKUPS, [tier = "l2", outcome = "miss"]).misses;
-    /// Per-worker (L1) saturated-state lookups, summed.
-    sat_l1_hits: u64 = run;
-    sat_l1_misses: u64 = run;
-    /// Shared (L2) saturated-state memo counters.
+    /// Retired counters of the deleted saturated-state consistency path:
+    /// always 0, with no JSON key or metric series. Kept only while the
+    /// benchmark harness still reads them.
     sat_l2: MemoCounts = run;
-    /// Chase steps decided by extending the parent's saturated state.
-    incr_extends: u64 = run, json "incr_extends",
-        series(
-            "cqi_incremental_extends_total",
-            "chase steps decided by saturated-state extension",
-            []
-        );
-    /// Chase steps that fell back to a full consistency check.
-    incr_fallbacks: u64 = run, json "incr_fallbacks",
-        series("cqi_incremental_fallbacks_total", "chase steps that fell back to a full solve", []);
+    incr_extends: u64 = run;
+    incr_fallbacks: u64 = run;
     /// Frontier subtrees skipped by homomorphic subsumption pruning
     /// (`ChaseConfig::subsume_prune`).
     subsumed_subtrees: u64 = run, json "subsumed_subtrees",
@@ -209,14 +200,6 @@ impl ChaseStats {
         rate(self.solver_l2.hits, self.solver_l2.misses)
     }
 
-    pub fn sat_l1_hit_rate(&self) -> f64 {
-        rate(self.sat_l1_hits, self.sat_l1_misses)
-    }
-
-    pub fn sat_l2_hit_rate(&self) -> f64 {
-        rate(self.sat_l2.hits, self.sat_l2.misses)
-    }
-
     /// Fraction of exact-digest requests served from the incremental cache.
     pub fn digest_hit_rate(&self) -> f64 {
         rate(self.digest_hits, self.digest_recomputes)
@@ -251,12 +234,7 @@ impl ChaseStats {
                 "solver_l2_hit_rate",
                 format!("{:.4}", self.solver_l2_hit_rate()),
             ),
-            ("sat_l1_hit_rate", format!("{:.4}", self.sat_l1_hit_rate())),
-            ("sat_l2_hit_rate", format!("{:.4}", self.sat_l2_hit_rate())),
-            (
-                "l2_contended",
-                (self.solver_l2.contended + self.sat_l2.contended).to_string(),
-            ),
+            ("l2_contended", self.solver_l2.contended.to_string()),
         ]);
         json_object(&entries)
     }
@@ -271,7 +249,7 @@ impl std::fmt::Display for ChaseStats {
             f,
             "waves={}({} spilled) steals={} batches={} \
              dedupe={}/{}dup/{}iso solverL1={:.0}%({}) L2={:.0}%({}) \
-             satL1={:.0}%({}) incr={}+{}fb subsumed={} digest={:.0}%({})",
+             subsumed={} digest={:.0}%({})",
             self.waves,
             self.spilled_waves,
             self.steals,
@@ -283,10 +261,6 @@ impl std::fmt::Display for ChaseStats {
             self.solver_l1_hits + self.solver_l1_misses,
             self.solver_l2_hit_rate() * 100.0,
             self.solver_l2.hits + self.solver_l2.misses,
-            self.sat_l1_hit_rate() * 100.0,
-            self.sat_l1_hits + self.sat_l1_misses,
-            self.incr_extends,
-            self.incr_fallbacks,
             self.subsumed_subtrees,
             self.digest_hit_rate() * 100.0,
             self.digest_hits + self.digest_recomputes,

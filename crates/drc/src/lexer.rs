@@ -138,7 +138,12 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, QueryError> {
             }
             let text = &src[i..j];
             let tok = if saw_dot {
-                Tok::Real(text.parse().map_err(|_| err(pos, "bad real literal"))?)
+                // Too many digits parse to infinity, which no `Value` holds.
+                let v: f64 = text.parse().map_err(|_| err(pos, "bad real literal"))?;
+                if !v.is_finite() {
+                    return Err(err(pos, "real literal out of range"));
+                }
+                Tok::Real(v)
             } else {
                 Tok::Int(text.parse().map_err(|_| err(pos, "bad integer literal"))?)
             };

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use cqi_schema::{DomainId, DomainType, Schema};
+use cqi_schema::{DomainId, DomainType, Schema, Value};
 
 use crate::ast::{Atom, CmpOp, Formula, Query, QueryError, Term, VarId, VarInfo};
 
@@ -220,6 +220,65 @@ fn infer_domains(
     Ok(dom)
 }
 
+/// `c` as a constant of type `want`: an integer in a Real position becomes
+/// the nearest real, an integral real in an Int position the integer.
+/// Anything else is left as it is.
+fn coerce_const(c: &Value, want: DomainType) -> Value {
+    match (c, want) {
+        (Value::Int(i), DomainType::Real) => Value::real(*i as f64),
+        (Value::Real(r), DomainType::Int) if r.get() as i64 as f64 == r.get() => {
+            Value::Int(r.get() as i64)
+        }
+        _ => c.clone(),
+    }
+}
+
+/// Types every numeric constant against the schema: a constant filling a
+/// relation column takes that column's domain type, and one compared with a
+/// variable takes the variable's. The printer writes `Real(4.0)` as `4`,
+/// which parses back as `Int(4)`, and `Value` equality is structural, so an
+/// untyped constant would make the chase, the grounding and `eval` see two
+/// different values in one column.
+fn coerce_consts(f: &Formula, schema: &Schema, dom: &[Option<DomainId>]) -> Formula {
+    let var_type = |t: &Term| match t {
+        Term::Var(v) => dom[v.index()].map(|d| schema.domain_type(d)),
+        _ => None,
+    };
+    let coerce = |t: &Term, want: Option<DomainType>| match (t, want) {
+        (Term::Const(c), Some(want)) => Term::Const(coerce_const(c, want)),
+        _ => t.clone(),
+    };
+    let go = |g: &Formula| coerce_consts(g, schema, dom);
+    match f {
+        Formula::Atom(Atom::Rel { negated, rel, terms }) => {
+            let arity = schema.relation(*rel).arity();
+            let col_type = |i: usize| schema.domain_type(schema.attr_domain(*rel, i));
+            Formula::Atom(Atom::Rel {
+                negated: *negated,
+                rel: *rel,
+                terms: terms
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| coerce(t, (i < arity).then(|| col_type(i))))
+                    .collect(),
+            })
+        }
+        Formula::Atom(Atom::Cmp { negated, lhs, op, rhs }) if *op != CmpOp::Like => {
+            Formula::Atom(Atom::Cmp {
+                negated: *negated,
+                lhs: coerce(lhs, var_type(rhs)),
+                op: *op,
+                rhs: coerce(rhs, var_type(lhs)),
+            })
+        }
+        Formula::Atom(a) => Formula::Atom(a.clone()),
+        Formula::And(l, r) => Formula::and(go(l), go(r)),
+        Formula::Or(l, r) => Formula::or(go(l), go(r)),
+        Formula::Exists(v, b) => Formula::Exists(*v, Box::new(go(b))),
+        Formula::Forall(v, b) => Formula::Forall(*v, Box::new(go(b))),
+    }
+}
+
 /// Full validation pipeline shared by the parser and programmatic builders.
 pub fn build_query(
     schema: Arc<Schema>,
@@ -262,6 +321,7 @@ pub fn build_query(
     }
 
     let dom = infer_domains(&schema, &formula, &var_names)?;
+    let formula = coerce_consts(&formula, &schema, &dom);
 
     // Safety (assumption (2), applied to output variables): each must occur
     // in at least one positive relational atom.
@@ -446,6 +506,30 @@ mod tests {
                 .build()
                 .unwrap(),
         )
+    }
+
+    #[test]
+    fn numeric_constants_take_their_column_or_partner_type() {
+        // `2` fills the Real `price` column and is compared with a Real
+        // variable; `2.0` with no Int partner stays a real.
+        let q = parse_query(
+            &schema(),
+            "{ (x) | exists b, p (Serves(x, b, 2) and p > 2 and Serves(x, b, p) and p < 2.5) }",
+        )
+        .unwrap();
+        let mut consts = Vec::new();
+        q.formula.for_each_atom(&mut |a| match a {
+            Atom::Rel { terms, .. } => consts.extend(terms.iter().filter_map(|t| match t {
+                Term::Const(c) => Some(c.clone()),
+                _ => None,
+            })),
+            Atom::Cmp { rhs: Term::Const(c), .. } => consts.push(c.clone()),
+            _ => {}
+        });
+        assert_eq!(consts, vec![Value::real(2.0), Value::real(2.0), Value::real(2.5)]);
+        assert_eq!(coerce_const(&Value::real(3.0), DomainType::Int), Value::Int(3));
+        assert_eq!(coerce_const(&Value::real(3.5), DomainType::Int), Value::real(3.5));
+        assert_eq!(coerce_const(&Value::str("4"), DomainType::Real), Value::str("4"));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!    (conjunctive core plus knob-controlled negation, comparisons,
 //!    constants, and `∀` depth) as a plain-data [`spec::CaseSpec`];
 //! 2. [`oracle::run_case`] chases it through [`cqi_core::Session`] under
-//!    one cell of the variant × `{threads, incremental, enforce_keys}`
+//!    one cell of the variant × `{threads, enforce_keys, subsume_prune}`
 //!    matrix, then re-derives every accepted c-instance's verdict through
 //!    a disjoint pipeline: ground it ([`cqi_instance::ground_instance`])
 //!    and re-evaluate with [`cqi_eval::satisfies`] / coverage — plus

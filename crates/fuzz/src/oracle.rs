@@ -22,24 +22,16 @@ use cqi_instance::ground_instance;
 use crate::spec::{CaseSpec, Mutation};
 
 /// The CI config matrix of the acceptance criteria:
-/// `(threads, incremental, enforce_keys, subsume_prune)`.
-pub const CONFIG_MATRIX: [(usize, bool, bool, bool); 16] = [
-    (1, true, true, false),
-    (4, true, true, false),
-    (1, false, true, false),
-    (4, false, true, false),
-    (1, true, false, false),
-    (4, true, false, false),
-    (1, false, false, false),
-    (4, false, false, false),
-    (1, true, true, true),
-    (4, true, true, true),
-    (1, false, true, true),
-    (4, false, true, true),
-    (1, true, false, true),
-    (4, true, false, true),
-    (1, false, false, true),
-    (4, false, false, true),
+/// `(threads, enforce_keys, subsume_prune)`.
+pub const CONFIG_MATRIX: [(usize, bool, bool); 8] = [
+    (1, true, false),
+    (4, true, false),
+    (1, false, false),
+    (4, false, false),
+    (1, true, true),
+    (4, true, true),
+    (1, false, true),
+    (4, false, true),
 ];
 
 /// Effective per-case configuration: one cell of the config matrix plus a
@@ -48,7 +40,6 @@ pub const CONFIG_MATRIX: [(usize, bool, bool, bool); 16] = [
 pub struct CaseConfig {
     pub variant: Variant,
     pub threads: usize,
-    pub incremental: bool,
     pub enforce_keys: bool,
     /// Homomorphic subsumption pruning; `true` cells additionally
     /// cross-check the pruned run against an unpruned twin.
@@ -63,16 +54,14 @@ pub struct CaseConfig {
 
 impl CaseConfig {
     /// Deterministic assignment of case `index` to a matrix cell and a
-    /// variant: all 16 cells × all 6 variants cycle with period 96, so a
-    /// ≥ 500-case sweep visits every combination ≥ 5 times.
+    /// variant: all 8 cells × all 6 variants cycle with period 48, so a
+    /// ≥ 500-case sweep visits every combination ≥ 10 times.
     pub fn for_case(index: usize, deadline: Duration) -> CaseConfig {
-        let (threads, incremental, enforce_keys, subsume) =
-            CONFIG_MATRIX[index % CONFIG_MATRIX.len()];
+        let (threads, enforce_keys, subsume) = CONFIG_MATRIX[index % CONFIG_MATRIX.len()];
         let variant = Variant::ALL[(index / CONFIG_MATRIX.len()) % Variant::ALL.len()];
         CaseConfig {
             variant,
             threads,
-            incremental,
             enforce_keys,
             subsume,
             limit: 5,
@@ -84,7 +73,6 @@ impl CaseConfig {
     pub fn chase_config(&self) -> ChaseConfig {
         ChaseConfig::with_limit(self.limit)
             .enforce_keys(self.enforce_keys)
-            .incremental(self.incremental)
             .threads(self.threads)
             .subsume_prune(self.subsume)
             .max_results(self.max_results)
@@ -452,10 +440,7 @@ pub fn run_case(
 }
 
 fn matrix_tag(cfg: &CaseConfig) -> String {
-    format!(
-        "t{} inc={} keys={} sub={}",
-        cfg.threads, cfg.incremental as u8, cfg.enforce_keys as u8, cfg.subsume as u8
-    )
+    format!("t{} keys={} sub={}", cfg.threads, cfg.enforce_keys as u8, cfg.subsume as u8)
 }
 
 #[cfg(test)]
@@ -467,12 +452,12 @@ mod tests {
     fn matrix_rotation_covers_all_cells_and_variants() {
         let mut cells = std::collections::BTreeSet::new();
         let mut variants = std::collections::BTreeSet::new();
-        for i in 0..96 {
+        for i in 0..48 {
             let c = CaseConfig::for_case(i, Duration::from_secs(1));
-            cells.insert((c.threads, c.incremental, c.enforce_keys, c.subsume));
+            cells.insert((c.threads, c.enforce_keys, c.subsume));
             variants.insert(c.variant);
         }
-        assert_eq!(cells.len(), 16);
+        assert_eq!(cells.len(), 8);
         assert_eq!(variants.len(), 6);
     }
 

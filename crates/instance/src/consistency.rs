@@ -146,40 +146,6 @@ pub fn consistent_model_cached(
     }
 }
 
-/// Does `IsConsistent(inst)` reduce to a *pure conjunction* of literals —
-/// no clauses at all? True when every negated relational atom ranges over
-/// an empty table (no `≠`-disjunctions arise) and, if keys are enforced, no
-/// keyed relation holds two rows (no EGD clauses arise). Pure-conjunctive
-/// instances are eligible for the incremental
-/// [`cqi_solver::SaturatedState`] path in the chase.
-pub fn is_pure_conjunctive(inst: &CInstance, enforce_keys: bool) -> bool {
-    inst.global.iter().all(|c| match c {
-        Cond::Lit(_) => true,
-        Cond::NotIn { rel, .. } => inst.tables[rel.index()].is_empty(),
-    }) && (!enforce_keys
-        || inst
-            .schema
-            .keys()
-            .iter()
-            .all(|k| inst.tables[k.rel.index()].len() <= 1))
-}
-
-/// The conjunction a slice of pure-conjunctive conditions reduces to (the
-/// `Lit` conditions, in order). Callers must have checked
-/// [`is_pure_conjunctive`] on the owning instance; `NotIn` conditions over
-/// empty tables contribute nothing, exactly as in [`to_problem`]. Taking a
-/// slice lets the chase reduce a *delta* (the child conditions beyond the
-/// parent's) through the same logic as a whole instance.
-pub fn conj_lits(global: &[Cond]) -> Vec<Lit> {
-    global
-        .iter()
-        .filter_map(|c| match c {
-            Cond::Lit(l) => Some(l.clone()),
-            Cond::NotIn { .. } => None,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

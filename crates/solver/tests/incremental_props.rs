@@ -1,10 +1,8 @@
-//! Property tests for the solver's memoized and incremental paths: both
-//! must agree with the from-scratch decision procedure on random problems,
-//! and satisfiable answers must come with verifying models.
+//! Property tests for the solver's memoized path: it must agree with the
+//! from-scratch decision procedure on random problems, and satisfiable
+//! answers must come with verifying models.
 
 use cqi_schema::{DomainType, Value};
-use cqi_solver::state::SaturatedState;
-use cqi_solver::theory::check_conj;
 use cqi_solver::{canon, Ent, Lit, NullId, Problem, SolverCache, SolverOp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -181,95 +179,5 @@ proptest! {
         let shift = (shift as usize) % p.null_types.len().max(1);
         let q = rotate_problem(&p, shift);
         prop_assert_eq!(canon::canonicalize(&p).key, canon::canonicalize(&q).key);
-    }
-
-    /// Saturate-then-extend at a random split agrees with the from-scratch
-    /// conjunction decision, and extended models verify every literal.
-    #[test]
-    fn incremental_agrees_with_scratch(seed in any::<u64>(), split in any::<u64>()) {
-        let (types, lits) = random_conj(seed);
-        let split = (split as usize) % (lits.len() + 1);
-        let (prefix, suffix) = lits.split_at(split);
-        let full_sat = check_conj(&types, &lits).is_some();
-        match SaturatedState::saturate(&types, prefix) {
-            None => {
-                // An unsatisfiable prefix makes the whole conjunction
-                // unsatisfiable.
-                prop_assert!(!full_sat, "prefix unsat but full sat");
-            }
-            Some(state) => {
-                let extended = state.extend(&types, suffix);
-                prop_assert_eq!(extended.is_some(), full_sat, "split {}", split);
-                if let Some(child) = extended {
-                    for l in &lits {
-                        prop_assert_eq!(child.model().eval_lit(l), Some(true), "{:?}", l);
-                    }
-                    // Rollback: the parent is still usable after the
-                    // extension (and after a refuted one).
-                    let _ = state.extend(&types, &[Lit::cmp(
-                        Value::Int(1), SolverOp::Eq, Value::Int(2))]);
-                    prop_assert_eq!(
-                        state.extend(&types, suffix).is_some(), full_sat,
-                        "parent state must survive extensions"
-                    );
-                }
-            }
-        }
-    }
-
-    /// A chain of saturated-state extensions (the chase's step pattern,
-    /// which re-solves warm after the first solve) agrees with from-scratch
-    /// at every step.
-    #[test]
-    fn chained_extensions_agree_with_scratch(seed in any::<u64>()) {
-        let (types, lits) = random_conj(seed);
-        let mut state = match SaturatedState::saturate(&types, &[]) {
-            Some(s) => s,
-            None => return,
-        };
-        for k in 0..lits.len() {
-            let so_far = &lits[..=k];
-            let scratch = check_conj(&types, so_far).is_some();
-            match state.extend(&types, std::slice::from_ref(&lits[k])) {
-                Some(next) => {
-                    prop_assert!(scratch, "extend sat but scratch unsat at step {}", k);
-                    for l in so_far {
-                        prop_assert_eq!(next.model().eval_lit(l), Some(true), "{:?}", l);
-                    }
-                    state = next;
-                }
-                None => {
-                    prop_assert!(!scratch, "extend unsat but scratch sat at step {}", k);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Growing the null set mid-extension behaves like declaring the nulls
-    /// up front.
-    #[test]
-    fn extend_with_fresh_nulls_agrees(seed in any::<u64>()) {
-        let (types, lits) = random_conj(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37);
-        // Restrict the prefix to literals over the first `k` nulls.
-        let k = rng.gen_range(1..=types.len());
-        let prefix: Vec<Lit> = lits
-            .iter()
-            .filter(|l| l.nulls().all(|n| n.index() < k))
-            .cloned()
-            .collect();
-        let suffix: Vec<Lit> = lits
-            .iter()
-            .filter(|l| !l.nulls().all(|n| n.index() < k))
-            .cloned()
-            .collect();
-        let full_sat = check_conj(&types, &lits).is_some();
-        match SaturatedState::saturate(&types[..k], &prefix) {
-            None => prop_assert!(!full_sat),
-            Some(state) => {
-                prop_assert_eq!(state.extend(&types, &suffix).is_some(), full_sat);
-            }
-        }
     }
 }

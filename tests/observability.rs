@@ -265,11 +265,7 @@ fn chase_stats_json_keys_and_metric_series_are_pinned() {
         "dedupe_iso_checks",
         "solver_l1_hit_rate",
         "solver_l2_hit_rate",
-        "sat_l1_hit_rate",
-        "sat_l2_hit_rate",
         "l2_contended",
-        "incr_extends",
-        "incr_fallbacks",
         "subsumed_subtrees",
         "digest_cache",
         "digest_cache.hits",
@@ -298,8 +294,6 @@ fn chase_stats_json_keys_and_metric_series_are_pinned() {
         "cqi_solver_memo_lookups_total{tier=\"l1\",outcome=\"miss\"}",
         "cqi_solver_memo_lookups_total{tier=\"l2\",outcome=\"hit\"}",
         "cqi_solver_memo_lookups_total{tier=\"l2\",outcome=\"miss\"}",
-        "cqi_incremental_extends_total",
-        "cqi_incremental_fallbacks_total",
         "cqi_chase_subsumed_total",
         "cqi_digest_cache_total{outcome=\"hit\"}",
         "cqi_digest_cache_total{outcome=\"recompute\"}",

@@ -237,4 +237,66 @@ mod chase_soundness {
             }
         }
     }
+
+    /// Two generated cases with an integral constant in a Real column. The
+    /// printer writes `Real(4.0)` as `4`, which used to parse back as
+    /// `Int(4)`: with keys on, the chase then accepted instances whose
+    /// grounded world held one key twice, once with `Int(4)` and once with
+    /// `Real(4.0)`. Each runs under the variant that failed, keys on,
+    /// limit 6.
+    #[test]
+    fn integral_constants_in_real_columns_ground_consistently() {
+        use cqi_schema::{DomainType, Schema};
+        use std::sync::Arc;
+
+        let r1258 = Schema::builder()
+            .relation(
+                "R0",
+                &[("a0", DomainType::Text), ("a1", DomainType::Int), ("a2", DomainType::Real)],
+            )
+            .relation("R1", &[("a0", DomainType::Text)])
+            .key("R0", &["a1"])
+            .key("R1", &["a0"])
+            .build()
+            .unwrap();
+        let r2355 = Schema::builder()
+            .relation("R0", &[("a0", DomainType::Text), ("a1", DomainType::Int)])
+            .relation(
+                "R1",
+                &[("a0", DomainType::Real), ("a1", DomainType::Int), ("a2", DomainType::Int)],
+            )
+            .relation(
+                "R2",
+                &[("a0", DomainType::Text), ("a1", DomainType::Text), ("a2", DomainType::Text)],
+            )
+            .key("R0", &["a1"])
+            .key("R1", &["a1"])
+            .build()
+            .unwrap();
+        let cases = [
+            (
+                r1258,
+                "{ (x4, x0) | exists x1 (exists x2 (exists x3 (R0(x0, x1, 4) and \
+                 R0(x2, x1, x3) and R0(x4, 1, x3) and x2 != x4 and x1 < 0))) }",
+                Variant::ConjAdd,
+            ),
+            (
+                r2355,
+                "{ (x4) | exists x0 (exists x1 (exists x2 (exists x3 (exists x5 (R1(x0, x1, x2) \
+                 and R1(4, x3, x4) and R1(x5, x2, x3) and x1 > 14))))) }",
+                Variant::ConjEO,
+            ),
+        ];
+        let cfg = ChaseConfig::with_limit(6)
+            .enforce_keys(true)
+            .timeout(Duration::from_secs(30));
+        for (schema, src, variant) in cases {
+            let q = cqi_drc::parse_query(&Arc::new(schema), src).unwrap();
+            let sol = run_variant(&SyntaxTree::new(q.clone()), variant, &cfg);
+            assert!(!sol.instances.is_empty(), "{src}");
+            if let Err(d) = check_solution(&q, &sol, true) {
+                panic!("{src} [{variant:?}]: {}: {}", d.kind.as_str(), d.detail);
+            }
+        }
+    }
 }
